@@ -34,7 +34,6 @@ CubeSolver::CubeSolver(const SimulationParams& params,
       dist_(grid_.cubes_x(), grid_.cubes_y(), grid_.cubes_z(), mesh_,
             policy),
       barrier_(make_barrier(barrier_kind, params.num_threads)),
-      locks_(static_cast<Size>(params.num_threads)),
       owned_cubes_(static_cast<Size>(params.num_threads)),
       owned_fibers_(static_cast<Size>(params.num_threads)),
       thread_profiles_(static_cast<Size>(params.num_threads)) {
@@ -51,7 +50,6 @@ CubeSolver::CubeSolver(const SimulationParams& params,
                                    grid_.cubes_x(), grid_.cubes_y(),
                                    grid_.cubes_z(), policy)),
       barrier_(make_barrier(barrier_kind, params.num_threads)),
-      locks_(static_cast<Size>(params.num_threads)),
       owned_cubes_(static_cast<Size>(params.num_threads)),
       owned_fibers_(static_cast<Size>(params.num_threads)),
       thread_profiles_(static_cast<Size>(params.num_threads)) {
@@ -59,31 +57,29 @@ CubeSolver::CubeSolver(const SimulationParams& params,
 }
 
 void CubeSolver::finish_construction(DistributionPolicy policy) {
-  // Precompute each thread's cube and fiber lists. Equivalent to the
-  // "if cube2thread(I,J,K) == tid" scan in Algorithm 4, hoisted out of the
-  // time loop.
+  // Precompute the cube -> owner table and each thread's cube and fiber
+  // lists. Equivalent to the "if cube2thread(I,J,K) == tid" scan in
+  // Algorithm 4, hoisted out of the time loop.
+  cube_owner_.resize(grid_.num_cubes());
   for (Index cx = 0; cx < grid_.cubes_x(); ++cx) {
     for (Index cy = 0; cy < grid_.cubes_y(); ++cy) {
       for (Index cz = 0; cz < grid_.cubes_z(); ++cz) {
         const int tid = dist_.cube2thread(cx, cy, cz);
-        owned_cubes_[static_cast<Size>(tid)].push_back(
-            grid_.cube_id(cx, cy, cz));
+        const Size cube = grid_.cube_id(cx, cy, cz);
+        cube_owner_[cube] = tid;
+        owned_cubes_[static_cast<Size>(tid)].push_back(cube);
       }
     }
   }
 #if LBMIB_ACCESS_CHECK_ENABLED
   // Shadow the grid with its cube2thread image so every write hook can
   // verify ownership. Ownership is frozen here: any later drift between
-  // dist_ and the checker's map is itself a bug the checker will surface.
+  // the owner table and the checker's map is itself a bug the checker
+  // will surface.
   access_checker_ =
       std::make_unique<AccessChecker>(grid_.num_cubes(), params_.num_threads);
-  for (Index cx = 0; cx < grid_.cubes_x(); ++cx) {
-    for (Index cy = 0; cy < grid_.cubes_y(); ++cy) {
-      for (Index cz = 0; cz < grid_.cubes_z(); ++cz) {
-        access_checker_->set_owner(grid_.cube_id(cx, cy, cz),
-                                   dist_.cube2thread(cx, cy, cz));
-      }
-    }
+  for (Size cube = 0; cube < grid_.num_cubes(); ++cube) {
+    access_checker_->set_owner(cube, cube_owner_[cube]);
   }
   grid_.attach_access_checker(access_checker_.get());
 #endif
@@ -129,8 +125,8 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
     // barrier-wait spans nest inside it.
     LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
                      static_cast<std::int64_t>(step));
-    // --- 1st loop: fiber kernels 1-4 on owned fibers ---------------------
-    LBMIB_RACE_CHECK(race::context("cube solver: spread phase");)
+    // --- 1st loop: fiber kernels 1-3 on owned fibers ---------------------
+    LBMIB_RACE_CHECK(race::context("cube solver: fiber-force phase");)
     {
       auto t0 = Clock::now();
       {
@@ -157,27 +153,32 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
         }
       }
       auto t3 = Clock::now();
-      {
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                         kernel_short_name(Kernel::kSpreadForce));
-        for (const auto& [s, f] : my_fibers) {
-          cube_spread_force(structure_[s], grid_, dist_, locks_, f, f + 1);
-        }
-      }
-      auto t4 = Clock::now();
       prof.add(Kernel::kBendingForce, seconds_between(t0, t1));
       prof.add(Kernel::kStretchingForce, seconds_between(t1, t2));
       prof.add(Kernel::kElasticForce, seconds_between(t2, t3));
-      prof.add(Kernel::kSpreadForce, seconds_between(t3, t4));
     }
-    // Extra barrier (see header comment): all spreading must land before
-    // any thread collides.
+    // Extra barrier (see header comment): every fiber's elastic force must
+    // be published before any thread spreads it.
     board.beat("cube:barrier:spread");
     if (chaos::enabled()) chaos::sync_point("cube:barrier:spread", tid, step);
     barrier_->arrive_and_wait();
     LBMIB_ACCESS_CHECK(
         access_checker_->advance_phase(StepPhase::kCollideStream);)
-    LBMIB_RACE_CHECK(race::context("cube solver: collide+stream phase");)
+    LBMIB_RACE_CHECK(
+        race::context("cube solver: spread+collide+stream phase");)
+
+    // --- kernel 4, owner computes: every fiber node, own cubes only ------
+    {
+      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
+                       kernel_short_name(Kernel::kSpreadForce));
+      auto t0 = Clock::now();
+      for (const FiberSheet& sheet : structure_) {
+        cube_spread_force_owned(sheet, grid_, cube_owner_, tid);
+      }
+      prof.add(Kernel::kSpreadForce, seconds_between(t0, Clock::now()));
+    }
+    // No barrier here: collision reads only its own cube's force, and only
+    // this thread wrote it.
 
     // --- 2nd loop: collision + streaming per cube ------------------------
     if (params_.fused_step) {

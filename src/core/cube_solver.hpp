@@ -4,15 +4,23 @@
 // statically assigned to a P x Q x R thread mesh through cube2thread() and
 // fibers through fiber2thread(). run() launches one persistent worker per
 // thread that executes the whole time loop — the paper's Thread_entry_fn —
-// with barrier synchronization between dependent kernel phases and
-// per-owner locks around cross-thread force spreading.
+// with barrier synchronization between dependent kernel phases.
+//
+// Force spreading is owner-computes instead of the paper's per-owner
+// locks: each thread runs kernels 1-3 on its own fibers, then every
+// thread walks every fiber node and adds only the part of its support
+// that lands in its own cubes (cube_spread_force_owned). No thread writes
+// a foreign cube and no lock is taken, and each fluid node sums its
+// contributions in the sequential solver's order, so the state is
+// bit-identical across thread counts and distribution policies.
 //
 // Barrier placement: Algorithm 4 shows three barriers per step (after
 // streaming, after update_fluid_velocity, and at the end of the step). We
-// add a fourth between force spreading and collision so that results are
-// bit-reproducible against the sequential solver; without it a thread
-// could start colliding its cubes while a neighbour is still spreading
-// force into them. The deviation is documented in DESIGN.md.
+// add a fourth between the fiber-force kernels 1-3 and spreading, so that
+// every fiber's elastic force is published before any thread reads it.
+// Collision follows spreading with no barrier between them: it reads only
+// its own cube's force, which only its own thread wrote. Both deviations
+// are documented in DESIGN.md §7.
 #pragma once
 
 #include <vector>
@@ -24,7 +32,6 @@
 #include "parallel/access_checker.hpp"
 #include "parallel/barrier.hpp"
 #include "parallel/mesh.hpp"
-#include "parallel/spinlock.hpp"
 
 namespace lbmib {
 
@@ -63,7 +70,8 @@ class CubeSolver final : public Solver {
     grid_.from_planar(fluid);
   }
 
-  /// Shared tail of both constructors: owned-cube/fiber lists + forces.
+  /// Shared tail of both constructors: owner table, owned-cube/fiber
+  /// lists + forces.
   void finish_construction(DistributionPolicy policy);
 
   /// Body of the paper's Thread_entry_fn for `num_steps` steps.
@@ -78,7 +86,7 @@ class CubeSolver final : public Solver {
   ThreadMesh mesh_;
   CubeDistribution dist_;
   std::unique_ptr<Barrier> barrier_;
-  std::vector<SpinLock> locks_;                 // one per owner thread
+  std::vector<int> cube_owner_;                 // cube id -> owning tid
   std::vector<std::vector<Size>> owned_cubes_;  // cube ids per thread
   /// (sheet index, fiber index) pairs owned per thread; distribution uses
   /// the global fiber numbering across all sheets of the structure.

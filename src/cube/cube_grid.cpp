@@ -1,13 +1,12 @@
 #include "cube/cube_grid.hpp"
 
-#include <omp.h>
-
 #include <cstring>
 
 #include "common/error.hpp"
 #include "lbm/boundary.hpp"
 #include "lbm/d3q19.hpp"
 #include "lbm/fluid_grid.hpp"
+#include "parallel/thread_team.hpp"
 
 namespace lbmib {
 
@@ -74,21 +73,22 @@ CubeGrid::CubeGrid(const SimulationParams& params)
     cube_has_solid_.reset(num_cubes());
     initialize(params.rho0, params.initial_velocity);
   } else {
-    // NUMA first-touch: allocate without touching, then let an OpenMP
+    // NUMA first-touch: allocate without touching, then let a thread
     // team write contiguous linear-id cube ranges — the order the cube
     // solvers hand cubes to threads — so each worker's blocks bind to
-    // its own node.
+    // its own node. A std::thread team rather than OpenMP: the cube
+    // solvers are std::thread code, and ThreadSanitizer cannot see
+    // libgomp's synchronization, so it would check every later access
+    // to these pages against the OpenMP workers' writes.
     data_.reset_uninitialized(num_cubes() * block_stride_);
     solid_.reset_uninitialized(num_cubes() * m_);
     cube_has_solid_.reset_uninitialized(num_cubes());
-#pragma omp parallel num_threads(threads)
-    {
-      const int tid = omp_get_thread_num();
-      const Size nth = static_cast<Size>(omp_get_num_threads());
+    const Size nth = static_cast<Size>(threads);
+    ThreadTeam(threads).run([&](int tid) {
       const Size begin = num_cubes() * static_cast<Size>(tid) / nth;
       const Size end = num_cubes() * (static_cast<Size>(tid) + 1) / nth;
       initialize_range(begin, end, params.rho0, params.initial_velocity);
-    }
+    });
   }
   neighbors_.reset(num_cubes() * 27);
   build_neighbor_table();

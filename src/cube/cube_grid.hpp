@@ -228,14 +228,18 @@ class CubeGrid {
             slot(cube, kFzSlot)[local]};
   }
   void add_force(Size cube, Size local, const Vec3& f) {
+    slot(cube, kFxSlot)[local] += f.x;
+    slot(cube, kFySlot)[local] += f.y;
+    slot(cube, kFzSlot)[local] += f.z;
+    // Hooks after the adds: a call between the caller's `w * force` and
+    // these adds would stop GCC contracting them into FMAs, so a checked
+    // build would round the spread differently from a release build and
+    // from FluidGrid::add_force, and stop matching the sequential solver.
     LBMIB_ACCESS_CHECK(
         if (checker_ != nullptr) checker_->check_unlocked_write(cube);)
     LBMIB_RACE_CHECK(race::access(this, cube, RaceField::kForce,
                                   RaceAccess::kWrite,
                                   "add_force (unlocked)");)
-    slot(cube, kFxSlot)[local] += f.x;
-    slot(cube, kFySlot)[local] += f.y;
-    slot(cube, kFzSlot)[local] += f.z;
   }
 
   /// add_force for a cross-thread write under the owning thread's lock

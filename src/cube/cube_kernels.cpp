@@ -734,17 +734,68 @@ DomainAxes resolve_domain(const CubeGrid& grid, const InfluenceDomain& d) {
   return out;
 }
 
-template <class AddForce>
+/// Spread filter of the single-writer, locked and atomic kernels: every
+/// fiber node, every target cube.
+struct AllCubes {
+  bool touches(const Vec3&) const { return true; }
+  bool keeps(Size) const { return true; }
+};
+
+/// Owner-computes filter: keep only targets in cubes `owner[cube] == tid`.
+struct OwnedCubes {
+  const CubeGrid& grid;
+  std::span<const int> owner;
+  int tid;
+
+  bool keeps(Size cube) const { return owner[cube] == tid; }
+
+  /// Per-node early reject: does the support of a node at `pos` reach any
+  /// owned cube? Visits every distinct cube its 4 lattice indices per
+  /// axis fall in (up to 4 at cube_size 1, not just the two end cubes),
+  /// with bases from influence_base so the clamp path agrees with
+  /// influence_domain.
+  bool touches(const Vec3& pos) const {
+    const Index k = grid.cube_size();
+    const Real coords[3] = {pos.x, pos.y, pos.z};
+    const Index dims[3] = {grid.nx(), grid.ny(), grid.nz()};
+    const Index cubes[3] = {grid.cubes_x(), grid.cubes_y(), grid.cubes_z()};
+    Index first[3], count[3];
+    for (int axis = 0; axis < 3; ++axis) {
+      const Index g = FluidGrid::wrap(influence_base(coords[axis]),
+                                      dims[axis]);
+      first[axis] = g / k;
+      count[axis] = (g % k + 3) / k + 1;
+    }
+    for (Index a = 0; a < count[0]; ++a) {
+      const Index cx = FluidGrid::wrap(first[0] + a, cubes[0]);
+      for (Index b = 0; b < count[1]; ++b) {
+        const Index cy = FluidGrid::wrap(first[1] + b, cubes[1]);
+        for (Index c = 0; c < count[2]; ++c) {
+          const Index cz = FluidGrid::wrap(first[2] + c, cubes[2]);
+          if (keeps(grid.cube_id(cx, cy, cz))) return true;
+        }
+      }
+    }
+    return false;
+  }
+};
+
+/// Kernel 4 over fibers [fiber_begin, fiber_end) in fiber -> node -> a ->
+/// b -> c order, handing each weighted force that `filter` keeps to `add`.
+template <class AddForce, class Filter = AllCubes>
 void cube_spread_impl(const FiberSheet& sheet, CubeGrid& grid,
-                      Index fiber_begin, Index fiber_end, AddForce&& add) {
+                      Index fiber_begin, Index fiber_end, AddForce&& add,
+                      const Filter& filter = {}) {
   const Real area = sheet.node_area();
   const Index k = grid.cube_size();
   const Index ncy = grid.cubes_y(), ncz = grid.cubes_z();
   for (Index f = fiber_begin; f < fiber_end; ++f) {
     for (Index j = 0; j < sheet.nodes_per_fiber(); ++j) {
       const Size node_id = sheet.id(f, j);
+      const Vec3& pos = sheet.position(node_id);
+      if (!filter.touches(pos)) continue;
       const Vec3 force = area * sheet.elastic_force(node_id);
-      const InfluenceDomain d = influence_domain(sheet.position(node_id));
+      const InfluenceDomain d = influence_domain(pos);
       const DomainAxes ax = resolve_domain(grid, d);
       for (int a = 0; a < 4; ++a) {
         const Real wa = d.wx[a];
@@ -762,6 +813,7 @@ void cube_spread_impl(const FiberSheet& sheet, CubeGrid& grid,
             const CubeGrid::NodeRef r{
                 static_cast<Size>(cube_xy + ax.cube_c[2][c]),
                 static_cast<Size>(local_xy + ax.local_c[2][c])};
+            if (!filter.keeps(r.cube)) continue;
             add(r, w * force);
           }
         }
@@ -796,6 +848,15 @@ void cube_spread_force_unlocked(const FiberSheet& sheet, CubeGrid& grid,
                    [&](const CubeGrid::NodeRef& r, const Vec3& f) {
                      grid.add_force(r.cube, r.local, f);
                    });
+}
+
+void cube_spread_force_owned(const FiberSheet& sheet, CubeGrid& grid,
+                             std::span<const int> cube_owner, int tid) {
+  cube_spread_impl(sheet, grid, 0, sheet.num_fibers(),
+                   [&](const CubeGrid::NodeRef& r, const Vec3& f) {
+                     grid.add_force(r.cube, r.local, f);
+                   },
+                   OwnedCubes{grid, cube_owner, tid});
 }
 
 void cube_spread_force_atomic(const FiberSheet& sheet, CubeGrid& grid,

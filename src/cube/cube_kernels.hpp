@@ -4,9 +4,13 @@
 // contiguous block. Streaming writes into neighbour cubes' df_new slots,
 // but each (direction, destination-node) pair has a unique source, so the
 // phase is race-free under any cube partitioning; the barrier after it
-// (Algorithm 4) publishes the values. Force spreading may write into cubes
-// owned by other threads and therefore serializes through the owner
-// thread's lock, exactly as the paper prescribes.
+// (Algorithm 4) publishes the values. Force spreading (kernel 4) comes in
+// four flavours that differ only in who may write a cube: the paper's
+// owner-locked spread, where any thread adds into any cube under the
+// owner thread's lock; a single-writer spread; an atomic one for dynamic
+// schedules; and the owner-computes spread CubeSolver runs, where every
+// thread walks every fiber node but adds only into its own cubes, so no
+// thread writes a foreign cube and no lock is taken.
 #pragma once
 
 #include <span>
@@ -93,6 +97,18 @@ void cube_spread_force(const FiberSheet& sheet, CubeGrid& grid,
 /// Single-writer variant (no locks) used by tests and the sequential path.
 void cube_spread_force_unlocked(const FiberSheet& sheet, CubeGrid& grid,
                                 Index fiber_begin, Index fiber_end);
+
+/// Owner-computes variant: spread every fiber of `sheet`, but add only the
+/// contributions that land in cubes with `cube_owner[cube] == tid`
+/// (`cube_owner` indexed by cube id). Nodes whose support reaches none of
+/// those cubes are skipped before their weights are computed. Once all
+/// fiber forces are published, every thread may run this with its own tid
+/// at the same time without locks: each cube has one writer, and each
+/// fluid node sums its contributions in the same order as
+/// cube_spread_force_unlocked over all fibers, so the result is
+/// bit-identical to it whatever the thread count or ownership.
+void cube_spread_force_owned(const FiberSheet& sheet, CubeGrid& grid,
+                             std::span<const int> cube_owner, int tid);
 
 /// Lock-free variant accumulating with std::atomic_ref fetch-adds; used by
 /// the dynamically scheduled solver where cube ownership is not static.

@@ -10,22 +10,25 @@
 
 namespace lbmib {
 
-InfluenceDomain influence_domain(const Vec3& pos) {
+Index influence_base(Real coord) {
   // A diverged run can hand us non-finite or astronomically large
   // coordinates before the next health scan notices; the float->int
   // conversion below is undefined for those, so clamp first. The phi4
   // weights of such a node come out zero or NaN either way — the bad
   // state stays detectable, but the index arithmetic stays defined.
   constexpr Real kMaxCoord = 1e15;
+  const Real floored = std::floor(coord);
+  return (floored >= -kMaxCoord && floored <= kMaxCoord)
+             ? static_cast<Index>(floored) - 1
+             : 0;
+}
+
+InfluenceDomain influence_domain(const Vec3& pos) {
   InfluenceDomain d;
   const Real coords[3] = {pos.x, pos.y, pos.z};
   Real* weights[3] = {d.wx, d.wy, d.wz};
   for (int axis = 0; axis < 3; ++axis) {
-    const Real floored = std::floor(coords[axis]);
-    const Index base =
-        (floored >= -kMaxCoord && floored <= kMaxCoord)
-            ? static_cast<Index>(floored) - 1
-            : 0;
+    const Index base = influence_base(coords[axis]);
     d.base[axis] = base;
     for (int k = 0; k < 4; ++k) {
       weights[axis][k] =

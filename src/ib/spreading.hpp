@@ -10,8 +10,9 @@
 //   * spread_force:        plain adds — for a single writer (sequential),
 //   * spread_force_atomic: std::atomic_ref adds — for concurrent writers
 //     whose influential domains may overlap (OpenMP solver).
-// The cube solver has its own flavour in cube/cube_kernels.hpp that
-// serializes through per-owner locks, as Algorithm 4 prescribes.
+// The cube-layout flavours live in cube/cube_kernels.hpp: Algorithm 4's
+// per-owner-locked spread, and the owner-computes spread the cube solver
+// runs, where each thread adds only what lands in its own cubes.
 #pragma once
 
 #include "common/types.hpp"
@@ -30,6 +31,14 @@ struct InfluenceDomain {
   Real wy[4];
   Real wz[4];
 };
+
+/// First lattice index (unwrapped) of the influential domain along an
+/// axis where the point sits at `coord`: floor(coord) - 1. Non-finite or
+/// astronomically large coordinates clamp to 0 so the index arithmetic
+/// stays defined. influence_domain() takes its bases from here, so any
+/// test that must agree with it on the support (the owner-computes
+/// spread's reject test) calls this too.
+Index influence_base(Real coord);
 
 /// Compute the influential domain of Lagrangian position `pos`.
 InfluenceDomain influence_domain(const Vec3& pos);

@@ -3,7 +3,9 @@
 // Algorithm 4's correctness rests on three invariants that nothing in a
 // release build verifies:
 //   1. every write to a cube owned by another thread happens under that
-//      owner thread's lock (cube2thread ownership + per-owner SpinLock),
+//      owner thread's lock (cube2thread ownership + per-owner SpinLock);
+//      CubeSolver's owner-computes spread makes no foreign write at all,
+//      so there every unlocked write must come from the owner,
 //   2. the barriers actually separate the step's phases — a kernel must
 //      only run in the phase the protocol assigns to it,
 //   3. ownership (cube2thread / fiber2thread) never drifts mid-step.
@@ -34,11 +36,14 @@ namespace lbmib {
 
 /// The phases of one cube-solver time step, in protocol order. Successive
 /// phases are separated by a barrier (the paper's three barriers plus the
-/// spread/collide barrier documented in DESIGN.md §7.1); the cycle wraps
+/// fiber-force barrier documented in DESIGN.md §7.1); the cycle wraps
 /// from kMoveCopy back to kSpread at the end-of-step barrier.
 enum class StepPhase : int {
-  kSpread = 0,        ///< fiber forces + force spreading (locked writes)
-  kCollideStream = 1, ///< collision + streaming on owned cubes
+  /// Fiber forces, plus Algorithm 4's locked spread (the only phase its
+  /// cross-thread writes are legal in). CubeSolver runs kernels 1-3 here
+  /// and spreads owner-computes at the start of kCollideStream.
+  kSpread = 0,
+  kCollideStream = 1, ///< (owned spread +) collision + streaming, own cubes
   kUpdate = 2,        ///< inlet/outlet + macroscopic update on owned cubes
   kMoveCopy = 3,      ///< fiber motion (foreign reads) + df copy/force reset
 };

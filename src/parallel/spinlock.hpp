@@ -1,8 +1,10 @@
-// Test-and-test-and-set spinlock used as the per-owner cube lock.
+// Test-and-test-and-set spinlock used as the per-owner cube lock of the
+// locked spread kernel (cube_spread_force).
 //
 // Algorithm 4 of the paper protects each thread's subset of cubes with the
 // owner thread's private lock; threads spreading fiber forces into foreign
-// cubes acquire the owner's lock first. Critical sections are tiny (a few
+// cubes acquire the owner's lock first. (CubeSolver itself spreads
+// owner-computes and takes no lock; see core/cube_solver.hpp.) Critical sections are tiny (a few
 // scattered adds), so a spinlock beats a futex-backed std::mutex.
 //
 // Memory-order / TSan notes. The lock is acquired only through the

@@ -44,11 +44,13 @@ SimulationParams base_params() {
   SimulationParams p = presets::tiny();
   p.body_force = {1e-5, 0.0, 0.0};
   p.boundary = BoundaryType::kPeriodic;
-  // Single worker: parallel spreading accumulates fiber forces in a
-  // thread-dependent order, so bit-exact cross-pipeline comparison needs a
-  // deterministic schedule. Multi-thread coverage (fiber-free, still
-  // bit-exact) is below; tolerance-based multi-thread coverage lives in
-  // test_randomized_equivalence.cpp.
+  // Single worker: the OpenMP and dataflow solvers spread fiber forces
+  // with atomic adds in a thread-dependent order, so bit-exact
+  // cross-pipeline comparison needs a deterministic schedule. (The cube
+  // solver's owner-computes spread is order-stable at any thread count;
+  // test_solver_concurrency.cpp checks that exactly.) Multi-thread
+  // coverage (fiber-free, still bit-exact) is below; tolerance-based
+  // multi-thread coverage lives in test_randomized_equivalence.cpp.
   p.num_threads = 1;
   return p;
 }

@@ -65,6 +65,53 @@ INSTANTIATE_TEST_SUITE_P(
                                                             : "_blocking");
     });
 
+/// (cube_size, simd_step)
+class CubeSolverDeterminism
+    : public ::testing::TestWithParam<std::tuple<Index, bool>> {};
+
+TEST_P(CubeSolverDeterminism, BitIdenticalAtAnyThreadCountAndPolicy) {
+  // Owner-computes spreading sums every fluid node's fiber contributions
+  // in the sequential solver's order, whichever thread owns the node, so
+  // the state must match exactly, not to a tolerance. Under TSan this
+  // also covers every thread reading every fiber after the barrier that
+  // publishes the fiber forces.
+  constexpr Index kDeterminismSteps = 6;
+  SimulationParams p = stress_params();
+  p.cube_size = std::get<0>(GetParam());
+  p.simd_step = std::get<1>(GetParam());
+  // Off the lattice on every axis, so each node's support carries weight
+  // on all 4 indices per axis and straddles cube boundaries.
+  p.sheet_origin = {6.37, 5.61, 6.23};
+  SequentialSolver seq(p);
+  seq.run(kDeterminismSteps);
+  CubeSolver one(p);
+  one.run(kDeterminismSteps);
+  EXPECT_EQ(compare_solvers(seq, one).max_any(), 0.0);
+  for (int threads : {2, 3, 4, 5, 8}) {
+    for (DistributionPolicy policy :
+         {DistributionPolicy::kBlock, DistributionPolicy::kCyclic}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                   (policy == DistributionPolicy::kBlock ? "block"
+                                                         : "cyclic"));
+      SimulationParams pt = p;
+      pt.num_threads = threads;
+      CubeSolver cube(pt, policy);
+      cube.run(kDeterminismSteps);
+      EXPECT_EQ(compare_solvers(one, cube).max_any(), 0.0);
+      EXPECT_EQ(compare_solvers(seq, cube).max_any(), 0.0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CubeSizes, CubeSolverDeterminism,
+    ::testing::Combine(::testing::Values<Index>(1, 2, 4, 8),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return "k" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_simd" : "_scalar");
+    });
+
 TEST(CubeSolverConcurrencyObserver, ObserverBarrierPathIsRaceFree) {
   // The observer runs on tid 0 while the team waits at the extra barrier;
   // the callback reads solver state (steps_completed, structure).

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -100,6 +104,107 @@ TEST(CubeSpread, ConcurrentSpreadingIsLossFree) {
       EXPECT_NEAR(got.z, want.z, 1e-14);
     }
   }
+}
+
+/// cube id -> owner table of `dist` over `grid`'s cubes.
+std::vector<int> owner_table(const CubeGrid& grid,
+                             const CubeDistribution& dist) {
+  std::vector<int> owner(grid.num_cubes());
+  for (Index cx = 0; cx < grid.cubes_x(); ++cx) {
+    for (Index cy = 0; cy < grid.cubes_y(); ++cy) {
+      for (Index cz = 0; cz < grid.cubes_z(); ++cz) {
+        owner[grid.cube_id(cx, cy, cz)] = dist.cube2thread(cx, cy, cz);
+      }
+    }
+  }
+  return owner;
+}
+
+/// Bit-for-bit force equality over every node (NaN payloads included).
+void expect_same_force_bits(const CubeGrid& got, const CubeGrid& want) {
+  for (Size cube = 0; cube < got.num_cubes(); ++cube) {
+    for (Size local = 0; local < got.nodes_per_cube(); ++local) {
+      const Vec3 g = got.force(cube, local);
+      const Vec3 w = want.force(cube, local);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(g.x),
+                std::bit_cast<std::uint64_t>(w.x))
+          << "cube " << cube << " local " << local;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(g.y),
+                std::bit_cast<std::uint64_t>(w.y))
+          << "cube " << cube << " local " << local;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(g.z),
+                std::bit_cast<std::uint64_t>(w.z))
+          << "cube " << cube << " local " << local;
+    }
+  }
+}
+
+/// Owner-computes spread, once per tid into one grid, against the
+/// single-writer spread: bit-identical for every mesh, policy and cube
+/// size (cube_size 1 puts 4 distinct cubes on each axis of a node's
+/// support, 2 up to 3).
+void expect_owned_matches_unlocked(const FiberSheet& sheet) {
+  constexpr Index kN = 12;  // divisible by every cube size below
+  for (Index k : {1, 2, 3, 4}) {
+    CubeGrid want(kN, kN, kN, k);
+    want.reset_forces({});
+    cube_spread_force_unlocked(sheet, want, 0, sheet.num_fibers());
+    for (int threads : {4, 8}) {
+      for (DistributionPolicy policy :
+           {DistributionPolicy::kBlock, DistributionPolicy::kCyclic}) {
+        SCOPED_TRACE("cube_size " + std::to_string(k) + ", " +
+                     std::to_string(threads) + " threads, " +
+                     (policy == DistributionPolicy::kBlock ? "block"
+                                                           : "cyclic"));
+        CubeGrid got(kN, kN, kN, k);
+        got.reset_forces({});
+        const CubeDistribution dist(got.cubes_x(), got.cubes_y(),
+                                    got.cubes_z(), balanced_mesh(threads),
+                                    policy);
+        const std::vector<int> owner = owner_table(got, dist);
+        for (int tid = 0; tid < threads; ++tid) {
+          cube_spread_force_owned(sheet, got, owner, tid);
+        }
+        expect_same_force_bits(got, want);
+      }
+    }
+  }
+}
+
+TEST(CubeSpread, OwnedPerThreadMatchesUnlockedBitForBit) {
+  expect_owned_matches_unlocked(perturbed_sheet(6));
+}
+
+TEST(CubeSpread, OwnedMatchesUnlockedAcrossPeriodicBoundary) {
+  // Origin near the top corner: the sheet runs past x, y, z = 12 and its
+  // supports wrap onto cubes at the low faces.
+  FiberSheet sheet(6, 6, 5.0, 5.0, {9.7, 9.3, 9.55}, 0.05, 0.01);
+  SplitMix64 rng(7);
+  for (Size i = 0; i < sheet.num_nodes(); ++i) {
+    sheet.position(i) += Vec3{rng.next_double(-0.3, 0.3),
+                              rng.next_double(-0.3, 0.3),
+                              rng.next_double(-0.3, 0.3)};
+  }
+  compute_all_fiber_forces(sheet);
+  expect_owned_matches_unlocked(sheet);
+}
+
+TEST(CubeSpread, OwnedMatchesUnlockedOnClampedPositions) {
+  // influence_domain's clamp path: a NaN and an astronomically large
+  // position both take base 0. The reject test must agree on the
+  // support and nothing may index out of range.
+  FiberSheet sheet = perturbed_sheet(8);
+  sheet.position(3) = Vec3{std::numeric_limits<Real>::quiet_NaN(),
+                           std::numeric_limits<Real>::quiet_NaN(),
+                           std::numeric_limits<Real>::quiet_NaN()};
+  sheet.position(10) = Vec3{1e300, -1e300, 1e300};
+  expect_owned_matches_unlocked(sheet);
+
+  CubeGrid grid(12, 12, 12, 4);
+  grid.reset_forces({});
+  cube_spread_force_unlocked(sheet, grid, 0, sheet.num_fibers());
+  const CubeGrid::NodeRef r = grid.locate(1, 1, 1);
+  EXPECT_TRUE(std::isnan(grid.force(r.cube, r.local).x));
 }
 
 TEST(CubeSpread, MoveFibersMatchesPlanar) {

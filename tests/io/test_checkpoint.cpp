@@ -11,6 +11,7 @@
 #include "ib/fiber_sheet.hpp"
 #include "io/checkpoint.hpp"
 #include "lbm/fluid_grid.hpp"
+#include "temp_path.hpp"
 
 namespace lbmib {
 namespace {
@@ -18,7 +19,7 @@ namespace {
 class CheckpointTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "lbmib_checkpoint_test.bin";
+  std::string path_ = test_temp_path("lbmib_checkpoint_test", ".bin");
 };
 
 void randomize_state(FluidGrid& grid, FiberSheet& sheet,
@@ -225,7 +226,7 @@ TEST_F(CheckpointTest, BitFlippedSectionFailsChecksum) {
 class CheckpointRotationTest : public ::testing::Test {
  protected:
   void TearDown() override { CheckpointRotation(base_).remove_files(); }
-  std::string base_ = ::testing::TempDir() + "lbmib_rotation_test.ckpt";
+  std::string base_ = test_temp_path("lbmib_rotation_test", ".ckpt");
 };
 
 TEST_F(CheckpointRotationTest, LoadsNewestSlot) {

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "io/csv_writer.hpp"
+#include "temp_path.hpp"
 
 namespace lbmib {
 namespace {
@@ -20,7 +21,7 @@ std::string slurp(const std::string& path) {
 class CsvWriterTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "lbmib_csv_test.csv";
+  std::string path_ = test_temp_path("lbmib_csv_test", ".csv");
 };
 
 TEST_F(CsvWriterTest, HeaderAndRows) {

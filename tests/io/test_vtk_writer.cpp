@@ -8,6 +8,7 @@
 #include "ib/fiber_sheet.hpp"
 #include "io/vtk_writer.hpp"
 #include "lbm/fluid_grid.hpp"
+#include "temp_path.hpp"
 
 namespace lbmib {
 namespace {
@@ -22,7 +23,7 @@ std::string slurp(const std::string& path) {
 class VtkWriterTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "lbmib_vtk_test.vtk";
+  std::string path_ = test_temp_path("lbmib_vtk_test", ".vtk");
 };
 
 TEST_F(VtkWriterTest, FluidFileHasLegacyHeaderAndFields) {

@@ -68,7 +68,7 @@ TEST(CriticalPath, ChildrenClipToWindowAndCheckpointCountsAsHalo) {
                         1800, 500));
   events.push_back(make(SpanCat::kKernel, "outside", 0, 3000, 100));
 
-  const PathBreakdown& b =
+  const PathBreakdown b =
       attribute_spans(events).threads.at(0).breakdown;
   EXPECT_NEAR(b.compute_seconds, 400 * kNs, 1e-15);  // [1000,1400)
   EXPECT_NEAR(b.halo_seconds, 200 * kNs, 1e-15);     // [1800,2000)

@@ -67,7 +67,7 @@ TEST(Roofline, ClassifiesBandwidthVsComputeBound) {
   // Same kernel against a bandwidth-rich machine (balance 0.1
   // flop/byte): now the flops ceiling binds.
   peaks.gbps = 1000.0;
-  const RooflineRow& r2 = build_roofline({m}, peaks).rows[0];
+  const RooflineRow r2 = build_roofline({m}, peaks).rows[0];
   EXPECT_FALSE(r2.bandwidth_bound);
 }
 
