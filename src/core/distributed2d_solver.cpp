@@ -54,17 +54,20 @@ std::pair<int, int> balanced_2d(int n) {
 
 }  // namespace
 
-Distributed2DSolver::Distributed2DSolver(const SimulationParams& params)
+Distributed2DSolver::Distributed2DSolver(const SimulationParams& params,
+                                         Mesh mesh)
     : Solver(params),
+      mesh_(mesh),
       comm_(params.num_threads),
       barrier_(params.num_threads),
       rank_profiles_(static_cast<Size>(params.num_threads)) {
-  const auto [rx, ry] = balanced_2d(params.num_threads);
+  const auto [rx, ry] = mesh == Mesh::kSlabs
+                            ? std::pair<int, int>{params.num_threads, 1}
+                            : balanced_2d(params.num_threads);
   rx_ = rx;
   ry_ = ry;
   require(params.nx >= rx_ && params.ny >= ry_,
-          "2-D decomposition needs at least one column per rank in each "
-          "axis");
+          "the rank mesh needs at least one column per rank in each axis");
   if (uses_inlet_outlet(params.boundary)) {
     require(params.nx / rx_ >= 2,
             "inlet/outlet needs two x-columns on the boundary ranks");
@@ -106,49 +109,6 @@ Distributed2DSolver::Distributed2DSolver(const SimulationParams& params)
 
 Distributed2DSolver::Tile Distributed2DSolver::tile_of(int rank) const {
   return ranks_[static_cast<Size>(rank)].tile;
-}
-
-void Distributed2DSolver::stream_local(Rank& r) {
-  using namespace d3q19;
-  FluidGrid& grid = *r.grid;
-  const Index lnx = r.tile.x_hi - r.tile.x_lo;
-  const Index lny = r.tile.y_hi - r.tile.y_lo;
-  const Index nz = grid.nz();
-
-  const bool has_lid = grid.has_lid();
-  Real lid_corr[kQ] = {};
-  if (has_lid) {
-    for (int dir = 0; dir < kQ; ++dir) {
-      lid_corr[dir] = 2 * w[static_cast<Size>(dir)] * inv_cs2 *
-                      dot(c(dir), grid.lid_velocity());
-    }
-  }
-
-  for (Index lx = 1; lx <= lnx; ++lx) {
-    for (Index ly = 1; ly <= lny; ++ly) {
-      for (Index z = 0; z < nz; ++z) {
-        const Size src = grid.index(lx, ly, z);
-        if (grid.solid(src)) continue;
-        grid.df_new(0, src) = grid.df(0, src);
-        for (int dir = 1; dir < kQ; ++dir) {
-          // x/y targets always land inside the ghosted local grid;
-          // only z wraps (it is not decomposed).
-          const Index tx = lx + cx[static_cast<Size>(dir)];
-          const Index ty = ly + cy[static_cast<Size>(dir)];
-          const Index tz =
-              FluidGrid::wrap(z + cz[static_cast<Size>(dir)], nz);
-          const Size dst = grid.index(tx, ty, tz);
-          if (grid.solid(dst)) {
-            Real v = grid.df(dir, src);
-            if (has_lid && tz == nz - 1) v -= lid_corr[dir];
-            grid.df_new(opposite(dir), src) = v;
-          } else {
-            grid.df_new(dir, dst) = grid.df(dir, src);
-          }
-        }
-      }
-    }
-  }
 }
 
 void Distributed2DSolver::exchange_halos(int rank) {
@@ -488,9 +448,10 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
     }
     if (params_.fused_step) {
       // Kernels 5+6 as one pass over the real tile (x/y pushes land in
-      // the ghost layers without wrapping, z wraps — the tile variant
-      // mirrors stream_local exactly); the halo exchange then ships the
-      // freshly-pushed crossing populations as in the reference pipeline.
+      // the ghost layers without wrapping, z wraps — the same writes as
+      // the reference stream_x_slab over the tile); the halo exchange
+      // then ships the freshly-pushed crossing populations as in the
+      // reference pipeline.
       {
         LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "collide_stream");
         auto t0 = Clock::now();
@@ -526,7 +487,7 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
         LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
                          kernel_short_name(Kernel::kStreaming));
         auto t0 = Clock::now();
-        stream_local(r);
+        stream_x_slab(grid, 1, lnx + 1, 1, lny + 1);
         board.beat("distributed2d:halo");
         if (chaos::enabled()) {
           chaos::sync_point("distributed2d:halo", rank, step);
@@ -559,8 +520,10 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
       move_fibers_allreduce(r, rank);
       prof.add(Kernel::kMoveFibers, since(t0));
     }
-    {  // kernel 9: per-rank O(1) swap when fused (ghost-layer df goes
-       // stale but is never read; see the 1-D solver's note).
+    {  // kernel 9: per-rank O(1) swap when fused. The ghost layers' df
+       // goes stale under the swap, but ghost df is never read —
+       // collision touches only real nodes and the halo exchange reads
+       // df_new.
       LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
                        params_.fused_step
                            ? "swap_df"

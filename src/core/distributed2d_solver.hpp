@@ -1,24 +1,43 @@
-// 2-D distributed-memory LBM-IB solver.
+// Distributed-memory LBM-IB solver (the paper's first future-work item:
+// "extend the cube-based implementation from shared memory manycore
+// systems to extreme-scale distributed memory manycore systems").
 //
-// DistributedSolver decomposes along x only — fine up to a few dozen
-// ranks, but an "extreme-scale distributed memory" machine (the paper's
-// future-work wording) needs surface-to-volume that only multi-axis
-// decomposition provides. This solver splits the domain over an
-// Rx x Ry rank mesh; each rank owns an (x, y) tile of full-z columns
-// with one ghost layer on each of its four sides.
+// The domain splits over an Rx x Ry rank mesh; each rank owns an (x, y)
+// tile of full-z columns in a private FluidGrid with one ghost layer on
+// each of its four sides — NO fluid state is shared. The mesh is the
+// solver's one structural choice, and each SolverKind picks one:
+//   * Mesh::kTiles (kDistributed2D): the most balanced Rx >= Ry
+//     factorization of the rank count — the surface-to-volume an
+//     extreme-scale machine needs;
+//   * Mesh::kSlabs (kDistributed): R x 1, 1-D slabs along x — the
+//     degenerate one-row mesh. Both y neighbours of a slab are the rank
+//     itself, so its y faces travel the rank's self channel.
 //
-// Halo protocol per step (the full D3Q19 dependency set):
-//   * 4 face messages: the 5 populations crossing each x/y face, minus
-//     the diagonal slots whose true source lies in a corner-adjacent
-//     rank;
-//   * 4 corner messages: the single population crossing each xy edge
-//     (directions 7, 8, 9, 10), one z-column each.
-// Receivers skip slots whose sending-side source is a wall — those were
-// filled locally by bounce-back (same rule as the 1-D solver).
+// Per time step each rank:
+//   1. computes fiber forces on its *replicated* structure (the
+//      Lagrangian set is tiny compared to the fluid, the standard choice
+//      in distributed IB codes) and spreads them into its own tile only
+//      — spreading needs no communication at all;
+//   2. collides and push-streams locally, spilling crossing populations
+//      into the ghost layers;
+//   3. exchanges halos, 8 messages (the full D3Q19 dependency set):
+//      * 4 face messages: the 5 populations crossing each x/y face,
+//        minus the diagonal slots whose true source lies in a
+//        corner-adjacent rank;
+//      * 4 corner messages: the single population crossing each xy edge
+//        (directions 7, 8, 9, 10), one z-column each.
+//      Receivers skip slots whose sending-side source is a wall — those
+//      were filled locally by bounce-back;
+//   4. applies inlet/outlet conditions on the first/last x-ranks;
+//   5. updates macroscopic fields locally;
+//   6. interpolates fiber velocities *partially* over its tile and
+//      all-reduces the partial sums, after which every rank advances its
+//      structure replica identically;
+//   7. copies (or, fused, swaps) distribution buffers locally.
 //
-// Fibers are replicated; spreading keeps only contributions landing in
-// the rank's own tile (no communication), and fiber motion uses partial
-// interpolation + one all-reduce, as in the 1-D solver.
+// Ranks run as threads here; the communication pattern (8 halo messages
+// + one all-reduce per step) is the distributed algorithm — porting to
+// MPI replaces Communicator with MPI calls and nothing else.
 #pragma once
 
 #include <memory>
@@ -32,7 +51,11 @@ namespace lbmib {
 
 class Distributed2DSolver final : public Solver {
  public:
-  explicit Distributed2DSolver(const SimulationParams& params);
+  /// Rank mesh shape: balanced Rx x Ry tiles, or R x 1 slabs along x.
+  enum class Mesh { kTiles, kSlabs };
+
+  explicit Distributed2DSolver(const SimulationParams& params,
+                               Mesh mesh = Mesh::kTiles);
 
   void step() override;
   void run(Index num_steps, const StepObserver& observer = nullptr,
@@ -40,7 +63,10 @@ class Distributed2DSolver final : public Solver {
   void snapshot_fluid(FluidGrid& out) const override;
   void restore_state(const FluidGrid& fluid, const Structure& structure,
                      Index step) override;
-  std::string name() const override { return "distributed2d"; }
+  /// The SolverKind name of the mesh: "distributed" for slabs.
+  std::string name() const override {
+    return mesh_ == Mesh::kSlabs ? "distributed" : "distributed2d";
+  }
 
   std::vector<KernelProfiler> per_thread_profiles() const override {
     return rank_profiles_;
@@ -73,12 +99,12 @@ class Distributed2DSolver final : public Solver {
     return ((tx + rx_) % rx_) * ry_ + ((ty + ry_) % ry_);
   }
 
-  void stream_local(Rank& r);
   void exchange_halos(int rank);
   void spread_forces_local(Rank& r);
   void apply_inlet_outlet_local(Rank& r, int rank);
   void move_fibers_allreduce(Rank& r, int rank);
 
+  Mesh mesh_;
   int rx_ = 1, ry_ = 1;
   std::vector<Rank> ranks_;
   Communicator comm_;

@@ -4,7 +4,6 @@
 #include "core/cube_solver.hpp"
 #include "core/dataflow_solver.hpp"
 #include "core/distributed2d_solver.hpp"
-#include "core/distributed_solver.hpp"
 #include "core/openmp_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "parallel/cancel.hpp"
@@ -84,9 +83,11 @@ std::unique_ptr<Solver> make_solver(SolverKind kind,
     case SolverKind::kDataflow:
       return std::make_unique<DataflowCubeSolver>(params);
     case SolverKind::kDistributed:
-      return std::make_unique<DistributedSolver>(params);
+      return std::make_unique<Distributed2DSolver>(
+          params, Distributed2DSolver::Mesh::kSlabs);
     case SolverKind::kDistributed2D:
-      return std::make_unique<Distributed2DSolver>(params);
+      return std::make_unique<Distributed2DSolver>(
+          params, Distributed2DSolver::Mesh::kTiles);
   }
   throw Error("unknown solver kind");
 }

@@ -99,21 +99,22 @@ class Solver {
 };
 
 /// Which solver implementation to instantiate. kDataflow is the
-/// dynamically scheduled variant of the cube solver and kDistributed the
-/// message-passing slab-decomposed one — the paper's two future-work
-/// directions (see core/dataflow_solver.hpp, core/distributed_solver.hpp).
+/// dynamically scheduled variant of the cube solver; the two distributed
+/// kinds are one message-passing solver on two rank meshes — the paper's
+/// two future-work directions (see core/dataflow_solver.hpp,
+/// core/distributed2d_solver.hpp).
 enum class SolverKind {
   kSequential,
   kOpenMP,
   kCube,
   kDataflow,
-  kDistributed,    ///< 1-D slab decomposition (message passing)
-  kDistributed2D,  ///< 2-D tile decomposition (message passing)
+  kDistributed,    ///< Distributed2DSolver on R x 1 slabs
+  kDistributed2D,  ///< Distributed2DSolver on balanced Rx x Ry tiles
 };
 
 std::string_view solver_kind_name(SolverKind kind);
 
-/// Factory covering all three implementations.
+/// Factory covering every SolverKind.
 std::unique_ptr<Solver> make_solver(SolverKind kind,
                                     const SimulationParams& params);
 

@@ -132,7 +132,7 @@ inline void slab_node_scalar(const FluidGrid& grid,
 
 /// Scalar loop body for the ghost-layer tile sweep: x/y targets always
 /// land inside the ghosted local grid; only z wraps (it is not
-/// decomposed) — same rule as stream_local.
+/// decomposed) — what stream_x_slab does for interior x/y rows.
 inline void tile_node_scalar(const FluidGrid& grid,
                              const StreamContext& ctx,
                              const NodeCollide& collide, Index nz,

@@ -59,11 +59,12 @@ void fused_collide_stream_x_slab(FluidGrid& grid, Real tau,
                                  Index x_end, bool simd = true,
                                  Index tile_y = 0);
 
-/// Tile variant for the 2-D ghost-layer decomposition: nodes with local
+/// Tile variant for the ghost-layer decomposition: nodes with local
 /// x in [x_lo, x_hi] and y in [y_lo, y_hi] (inclusive, matching the
 /// distributed solver's real-tile bounds). x/y pushes land inside the
 /// ghosted local grid without wrapping; only z wraps (it is not
-/// decomposed). Mirrors Distributed2DSolver's reference stream_local.
+/// decomposed). Writes exactly what the distributed solver's reference
+/// pipeline streams with stream_x_slab over the same x/y ranges.
 /// `simd` enables the same clear-row lane-block fast path (row_clear on
 /// the ghosted local grid already encodes the tile's interiority).
 void fused_collide_stream_tile(FluidGrid& grid, Real tau,

@@ -10,6 +10,11 @@
 namespace lbmib {
 
 void stream_x_slab(FluidGrid& grid, Index x_begin, Index x_end) {
+  stream_x_slab(grid, x_begin, x_end, 0, grid.ny());
+}
+
+void stream_x_slab(FluidGrid& grid, Index x_begin, Index x_end,
+                   Index y_begin, Index y_end) {
   using namespace d3q19;
   const Index nx = grid.nx(), ny = grid.ny(), nz = grid.nz();
   // Pushes land in the slab plus one plane either side (periodically
@@ -59,7 +64,7 @@ void stream_x_slab(FluidGrid& grid, Index x_begin, Index x_end) {
 
   for (Index x = x_begin; x < x_end; ++x) {
     const bool x_interior = (x > 0 && x < nx - 1);
-    for (Index y = 0; y < ny; ++y) {
+    for (Index y = y_begin; y < y_end; ++y) {
       const bool y_interior = (y > 0 && y < ny - 1);
       // Keep the next z-row's source lines in flight while this row
       // scatters; the strided plane-to-plane hops defeat the linear

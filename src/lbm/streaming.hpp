@@ -21,6 +21,14 @@ class FluidGrid;
 /// Stream every non-solid node with x in [x_begin, x_end).
 void stream_x_slab(FluidGrid& grid, Index x_begin, Index x_end);
 
+/// Stream every non-solid node with x in [x_begin, x_end) and y in
+/// [y_begin, y_end). The distributed solver streams its real tile this
+/// way: on the ghosted local grid those nodes are interior in x and y,
+/// so every x/y push lands in the tile or its ghost ring and only z
+/// wraps.
+void stream_x_slab(FluidGrid& grid, Index x_begin, Index x_end,
+                   Index y_begin, Index y_end);
+
 /// Kernel 9: copy the new-distribution buffer back into the present buffer
 /// for every node in [begin, end) (all 19 directions).
 void copy_distributions_range(FluidGrid& grid, Size begin, Size end);

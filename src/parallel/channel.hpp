@@ -3,16 +3,16 @@
 //
 // The paper's first future-work item is extending the cube-based
 // implementation "to extreme-scale distributed memory manycore systems".
-// DistributedSolver realizes that algorithm with ranks that share no
-// fluid state and communicate only through these channels; porting it to
-// MPI means replacing Channel/Communicator with MPI_Send/MPI_Recv and
-// nothing else.
+// Distributed2DSolver (both SolverKinds kDistributed and kDistributed2D)
+// realizes that algorithm with ranks that share no fluid state and
+// communicate only through these channels; porting it to MPI means
+// replacing Channel/Communicator with MPI_Send/MPI_Recv and nothing else.
 //
 // Each delivered message is also a happens-before edge: the receiver
 // acquires the clock the sender released (RaceDetector::channel_send/
 // channel_recv, called inside the critical section so the detector's
 // clock FIFO stays aligned with the message FIFO). That is how the
-// distributed solvers' halo exchanges order cross-rank accesses for the
+// distributed solver's halo exchanges order cross-rank accesses for the
 // race detector without any solver-side hooks.
 // recv() is a cancellation point (parallel/cancel.hpp): it polls the
 // installed CancelToken on a bounded wait, so a receiver whose message

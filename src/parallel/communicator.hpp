@@ -2,8 +2,10 @@
 //
 // Mimics the MPI subset the distributed solver needs: tagged
 // point-to-point send/recv (non-blocking send, blocking receive, ordered
-// per sender-receiver pair) and a vector all-reduce. See channel.hpp for
-// why this exists.
+// per sender-receiver pair) and a vector all-reduce. A rank may send to
+// itself — on the solver's R x 1 slab mesh both y faces do, and at one
+// rank all 8 halo messages do — through its own FIFO channel. See
+// channel.hpp for why this exists.
 #pragma once
 
 #include <memory>

@@ -38,9 +38,8 @@ const char* stall_point(SolverKind kind) {
     case SolverKind::kDataflow:
       return "dataflow:task-loop";
     case SolverKind::kDistributed:
-      return "distributed:halo";
     case SolverKind::kDistributed2D:
-      return "distributed2d:halo";
+      return "distributed2d:halo";  // one solver, one label set
   }
   return "";
 }
@@ -120,14 +119,16 @@ TEST_P(LivenessTest, ResilientRunnerRecoversFromStall) {
 }
 
 TEST(LivenessChannelFaults, LostHaloMessageIsDetectedAndRecovered) {
-  // Drop the first halo message of the run: the destination rank blocks
-  // forever in Channel::recv, the watchdog trips, and the runner
-  // resumes and completes. Four ranks, so each pairwise channel carries
-  // exactly one halo packet per step and the drop deterministically
-  // leaves a receiver on an empty channel (with two ranks both halos
-  // share a channel and a drop surfaces as a tag mismatch instead).
+  // Drop a halo message: its receiver blocks forever in Channel::recv,
+  // the watchdog trips, and the runner resumes and completes. One rank,
+  // so the send order is deterministic (several ranks interleave their
+  // sends on the process-wide counter) and all 8 halo messages of a
+  // step travel the self channel in that order. Message 7, the last
+  // corner column, has nothing queued behind it, so its recv finds an
+  // empty channel; a dropped message with another behind it on the same
+  // channel would surface as a tag mismatch instead.
   SimulationParams p = liveness_params(SolverKind::kDistributed);
-  p.num_threads = 4;
+  p.num_threads = 1;
   ResilienceConfig cfg;
   cfg.checkpoint_interval = 5;
   cfg.health_interval = 5;
@@ -137,7 +138,7 @@ TEST(LivenessChannelFaults, LostHaloMessageIsDetectedAndRecovered) {
   ResilientRunner runner(SolverKind::kDistributed, p, cfg);
 
   chaos::reset();
-  chaos::arm_message_drop(0);
+  chaos::arm_message_drop(7);
 
   const ResilienceReport report = runner.run(30);
 

@@ -10,7 +10,7 @@
 #include "common/config_file.hpp"
 #include "core/cube_solver.hpp"
 #include "core/dataflow_solver.hpp"
-#include "core/distributed_solver.hpp"
+#include "core/distributed2d_solver.hpp"
 #include "core/openmp_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
@@ -43,7 +43,7 @@ TEST(MrtSolvers, AllParallelSolversMatchSequential) {
   flow.run(8);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-11) << "dataflow";
 
-  DistributedSolver dist(p);
+  Distributed2DSolver dist(p, Distributed2DSolver::Mesh::kSlabs);
   dist.run(8);
   EXPECT_LT(compare_solvers(seq, dist).max_any(), 1e-11) << "distributed";
 }

@@ -12,7 +12,6 @@
 #include "core/cube_solver.hpp"
 #include "core/dataflow_solver.hpp"
 #include "core/distributed2d_solver.hpp"
-#include "core/distributed_solver.hpp"
 #include "core/openmp_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "parallel/race_detector.hpp"
@@ -82,7 +81,7 @@ TEST(RaceClean, DataflowSolverOverlapped) {
 
 TEST(RaceClean, DistributedSolver) {
   ScopedRaceDetector sd;
-  DistributedSolver solver(fsi_params());
+  Distributed2DSolver solver(fsi_params(), Distributed2DSolver::Mesh::kSlabs);
   EXPECT_NO_THROW(solver.run(4));
 }
 
@@ -114,7 +113,7 @@ TEST(RaceClean, ChannelBoundaryAcrossSolvers) {
   }
   {
     ScopedRaceDetector sd;
-    DistributedSolver solver(p);
+    Distributed2DSolver solver(p, Distributed2DSolver::Mesh::kSlabs);
     EXPECT_NO_THROW(solver.run(3));
   }
 }

@@ -9,7 +9,7 @@
 #include "common/rng.hpp"
 #include "core/cube_solver.hpp"
 #include "core/dataflow_solver.hpp"
-#include "core/distributed_solver.hpp"
+#include "core/distributed2d_solver.hpp"
 #include "core/openmp_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
@@ -82,7 +82,7 @@ TEST_P(RandomizedEquivalence, AllSolversMatchSequential) {
   flow.run(5);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-11) << "dataflow";
 
-  DistributedSolver dist(p);
+  Distributed2DSolver dist(p, Distributed2DSolver::Mesh::kSlabs);
   dist.run(5);
   EXPECT_LT(compare_solvers(seq, dist).max_any(), 1e-11) << "distributed";
 }

@@ -1,9 +1,9 @@
 // The ThreadSanitizer test path for the std::thread solvers.
 //
-// Every multi-threaded solver built on ThreadTeam (cube, dataflow,
-// distributed 1-D, distributed 2-D) is driven here with several thread
-// counts, both barrier flavours, and the observer path active, then
-// cross-checked against the sequential reference. The suite is labeled
+// Every multi-threaded solver built on ThreadTeam (cube, dataflow, and
+// the distributed solver on slabs and tiles) is driven here with several
+// thread counts, both barrier flavours, and the observer path active,
+// then cross-checked against the sequential reference. The suite is labeled
 // `concurrency` in tests/CMakeLists.txt; `scripts/run_sanitized_tests.sh
 // thread` builds with -DLBMIB_SANITIZE=thread and runs exactly this label,
 // so any release/acquire mistake in SpinLock, the barriers, Channel, the
@@ -18,7 +18,6 @@
 #include "core/cube_solver.hpp"
 #include "core/dataflow_solver.hpp"
 #include "core/distributed2d_solver.hpp"
-#include "core/distributed_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
 
@@ -144,16 +143,32 @@ INSTANTIATE_TEST_SUITE_P(Threads, DataflowConcurrency,
                            return "t" + std::to_string(info.param);
                          });
 
-class DistributedConcurrency : public ::testing::TestWithParam<int> {};
+/// Channel/Communicator path: halo packets + deterministic allreduce of
+/// the fiber replicas. The suite fixes the rank mesh (kDistributed's
+/// R x 1 slabs, kDistributed2D's tiles), the parameter the rank count.
+template <Distributed2DSolver::Mesh kMesh>
+class MeshConcurrency : public ::testing::TestWithParam<int> {
+ protected:
+  void expect_matches_sequential() const {
+    SimulationParams p = stress_params();
+    p.num_threads = GetParam();
+    Distributed2DSolver dist(p, kMesh);
+    dist.run(kSteps);
+    EXPECT_LT(compare_solvers(reference(), dist).max_any(), 1e-11);
+  }
+};
+
+using DistributedConcurrency =
+    MeshConcurrency<Distributed2DSolver::Mesh::kSlabs>;
+using Distributed2DConcurrency =
+    MeshConcurrency<Distributed2DSolver::Mesh::kTiles>;
 
 TEST_P(DistributedConcurrency, HaloExchangeMatchesSequential) {
-  // Channel/Communicator path: halo packets + deterministic allreduce of
-  // the fiber replicas.
-  SimulationParams p = stress_params();
-  p.num_threads = GetParam();
-  DistributedSolver dist(p);
-  dist.run(kSteps);
-  EXPECT_LT(compare_solvers(reference(), dist).max_any(), 1e-11);
+  expect_matches_sequential();
+}
+
+TEST_P(Distributed2DConcurrency, TileHalosMatchSequential) {
+  expect_matches_sequential();
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, DistributedConcurrency,
@@ -161,17 +176,6 @@ INSTANTIATE_TEST_SUITE_P(Ranks, DistributedConcurrency,
                          [](const auto& info) {
                            return "r" + std::to_string(info.param);
                          });
-
-class Distributed2DConcurrency : public ::testing::TestWithParam<int> {};
-
-TEST_P(Distributed2DConcurrency, TileHalosMatchSequential) {
-  SimulationParams p = stress_params();
-  p.num_threads = GetParam();
-  Distributed2DSolver dist(p);
-  dist.run(kSteps);
-  EXPECT_LT(compare_solvers(reference(), dist).max_any(), 1e-11);
-}
-
 INSTANTIATE_TEST_SUITE_P(Ranks, Distributed2DConcurrency,
                          ::testing::Values(2, 4, 6),
                          [](const auto& info) {

@@ -5,7 +5,7 @@
 
 #include "common/error.hpp"
 #include "core/cube_solver.hpp"
-#include "core/distributed_solver.hpp"
+#include "core/distributed2d_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
 #include "ib/fiber_forces.hpp"
@@ -126,7 +126,7 @@ TEST(Tether, SolversAgreeWithTether) {
   CubeSolver cube(p);
   cube.run(8);
   EXPECT_LT(compare_solvers(seq, cube).max_any(), 1e-11);
-  DistributedSolver dist(p);
+  Distributed2DSolver dist(p, Distributed2DSolver::Mesh::kSlabs);
   dist.run(8);
   EXPECT_LT(compare_solvers(seq, dist).max_any(), 1e-11);
 }

@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "core/cube_solver.hpp"
-#include "core/distributed_solver.hpp"
+#include "core/distributed2d_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
 #include "lbm/observables.hpp"
@@ -113,7 +113,7 @@ TEST(Cavity, DistributedSolverMatchesSequential) {
   SequentialSolver seq(p);
   seq.run(20);
   p.num_threads = 4;
-  DistributedSolver dist(p);
+  Distributed2DSolver dist(p, Distributed2DSolver::Mesh::kSlabs);
   dist.run(20);
   EXPECT_LT(compare_solvers(seq, dist).max_any(), 1e-12);
 }

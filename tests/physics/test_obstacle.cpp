@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "core/cube_solver.hpp"
 #include "core/distributed2d_solver.hpp"
-#include "core/distributed_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
 #include "lbm/boundary.hpp"
@@ -94,12 +93,12 @@ TEST(Obstacle, AllSolversAgree) {
   CubeSolver cube(p);
   cube.run(10);
   EXPECT_LT(compare_solvers(seq, cube).max_any(), 1e-12) << "cube";
-  DistributedSolver dist(p);
+  Distributed2DSolver dist(p, Distributed2DSolver::Mesh::kSlabs);
   dist.run(10);
-  EXPECT_LT(compare_solvers(seq, dist).max_any(), 1e-12) << "dist1d";
+  EXPECT_LT(compare_solvers(seq, dist).max_any(), 1e-12) << "slabs";
   Distributed2DSolver dist2(p);
   dist2.run(10);
-  EXPECT_LT(compare_solvers(seq, dist2).max_any(), 1e-12) << "dist2d";
+  EXPECT_LT(compare_solvers(seq, dist2).max_any(), 1e-12) << "tiles";
 }
 
 TEST(Obstacle, SphereSpanningRankBoundary) {
@@ -110,7 +109,7 @@ TEST(Obstacle, SphereSpanningRankBoundary) {
   SequentialSolver seq(p);
   seq.run(10);
   p.num_threads = 2;
-  DistributedSolver dist(p);
+  Distributed2DSolver dist(p, Distributed2DSolver::Mesh::kSlabs);
   dist.run(10);
   EXPECT_LT(compare_solvers(seq, dist).max_any(), 1e-12);
 }
