@@ -18,8 +18,11 @@ non-comment line must parse as ``name[{labels}] value`` and every
 for the ``metric,type,stat,value`` header, and a roofline JSON file
 (``--roofline``, as written by ``lbmib_run --roofline-out``): machine
 peaks must be positive, every kernel row must carry the analytic-model
-fields with a sane bound verdict, and when ``counters_available`` is
-true at least one row must carry measured counter fields (ipc etc.).
+fields with a sane bound verdict, the ``events`` map must say which
+counter events the host granted, a row's counter field is ``null``
+exactly where an event it is derived from was not granted (a number
+everywhere else), and ``counters_available`` is true exactly when some
+row carries a measured (numeric) counter field.
 
 Exits non-zero with a description of the first failure. No third-party
 imports: json/re/argparse only.
@@ -127,6 +130,17 @@ def check_csv(path: str) -> None:
     print(f"check_trace: {path}: OK — {len(rows) - 1} CSV rows")
 
 
+# Each roofline counter column and the perf events it is derived from
+# (perfmodel/roofline.cpp writes null unless all of them were granted).
+COUNTER_COLUMNS = {
+    "ipc": ("cycles", "instructions"),
+    "llc_miss_rate": ("llc_references", "llc_misses"),
+    "llc_miss_per_unit": ("llc_misses",),
+    "measured_gbps": ("llc_misses",),
+    "stalled_backend_frac": ("stalled_backend", "cycles"),
+}
+
+
 def check_roofline(path: str) -> None:
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
@@ -144,13 +158,16 @@ def check_roofline(path: str) -> None:
         fail(f"{path}: peaks.threads must be a positive integer")
     if not isinstance(doc.get("counters_available"), bool):
         fail(f"{path}: 'counters_available' must be a boolean")
+    events = doc.get("events")
+    if not isinstance(events, dict) or not all(
+            isinstance(v, bool) for v in events.values()):
+        fail(f"{path}: 'events' must be an object of event -> boolean")
 
     kernels = doc.get("kernels")
     if not isinstance(kernels, list) or not kernels:
         fail(f"{path}: 'kernels' must be a non-empty array")
-    counter_fields = ("ipc", "llc_miss_rate", "llc_miss_per_unit",
-                      "measured_gbps", "stalled_backend_frac")
     n_with_counters = 0
+    n_measured = 0
     for i, row in enumerate(kernels):
         for field in ("kernel", "unit", "bound"):
             if not isinstance(row.get(field), str):
@@ -170,21 +187,31 @@ def check_roofline(path: str) -> None:
                 fail(f"{path}: kernel {i} ({row['kernel']}) field "
                      f"{field!r} must be a non-negative number, "
                      f"got {v!r}")
-        present = [f for f in counter_fields if f in row]
+        present = [f for f in COUNTER_COLUMNS if f in row]
         if present:
             # Counter fields are all-or-nothing per row.
-            missing = [f for f in counter_fields if f not in row]
+            missing = [f for f in COUNTER_COLUMNS if f not in row]
             if missing:
                 fail(f"{path}: kernel {i} ({row['kernel']}) has partial "
                      f"counter fields: missing {missing}")
-            for field in counter_fields:
-                if not isinstance(row[field], (int, float)):
+            for field, needs in COUNTER_COLUMNS.items():
+                granted = all(events.get(e, False) for e in needs)
+                v = row[field]
+                if granted and not (isinstance(v, (int, float))
+                                    and not isinstance(v, bool)):
                     fail(f"{path}: kernel {i} ({row['kernel']}) field "
-                         f"{field!r} must be numeric")
+                         f"{field!r} must be numeric: its events "
+                         f"{list(needs)} were granted")
+                if not granted and v is not None:
+                    fail(f"{path}: kernel {i} ({row['kernel']}) field "
+                         f"{field!r} must be null: events {list(needs)} "
+                         f"were not all granted, got {v!r}")
+                n_measured += granted
             n_with_counters += 1
-    if doc["counters_available"] and n_with_counters == 0:
-        fail(f"{path}: counters_available is true but no kernel row "
-             "carries counter fields")
+    if doc["counters_available"] != (n_measured > 0):
+        fail(f"{path}: counters_available is "
+             f"{str(doc['counters_available']).lower()} but "
+             f"{n_measured} counter fields are measured")
     print(
         f"check_trace: {path}: OK — {len(kernels)} roofline rows, "
         f"{n_with_counters} with counters, peak {peaks['gbps']} GB/s / "

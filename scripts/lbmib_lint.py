@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Portable engine for the five lbmib-* protocol checks.
+"""Portable engine for the six lbmib-* protocol checks.
 
 The authoritative implementation is the clang-tidy plugin in
 tools/lint/ (lbmib-tidy, DESIGN.md §17); this module re-implements the
@@ -16,6 +16,7 @@ Checks (rationale lives next to each implementation):
   lbmib-df-parity            df/df_new parity-swap protocol (PR 3)
   lbmib-lock-discipline      RAII guards; no blocking under SpinLock
   lbmib-nondeterminism       replayability of kernels and schedulers
+  lbmib-raw-timing           solver bodies time phases only via KernelScope
 
 Suppressions: standard clang-tidy syntax — `// NOLINT(lbmib-raw-sync)`
 on the flagged line or `// NOLINTNEXTLINE(...)` on the line above, with
@@ -502,6 +503,43 @@ def check_nondeterminism(ctx: FileCtx) -> list[Diag]:
 
 
 # --------------------------------------------------------------------
+# check: lbmib-raw-timing
+#
+# The solver step loops time, trace and count each phase through one
+# seam, KernelScope (src/core/instrument.hpp), keyed by the phase table
+# (src/common/profiler.hpp). A hand-written clock read next to it is a
+# second, drifting copy of that seam. The check's own fixtures are in
+# scope so both engines can be held to it.
+
+RAW_TIMING_SCOPE = re.compile(
+    r"(^|/)(src/core/[a-z0-9_]+_solver\.cpp"
+    r"|tests/lint/fixtures/raw_timing_[a-z]+\.cpp)$"
+)
+RAW_TIMING = re.compile(r"\b(?:steady_clock|WallTimer)\b|\bClock::now\b")
+
+
+def check_raw_timing(ctx: FileCtx) -> list[Diag]:
+    if not RAW_TIMING_SCOPE.search(ctx.rel):
+        return []
+    out = []
+    for idx, text in enumerate(ctx.stripped):
+        for m in RAW_TIMING.finditer(text):
+            out.append(
+                Diag(
+                    ctx.rel,
+                    idx + 1,
+                    m.start() + 1,
+                    "lbmib-raw-timing",
+                    f"hand-timed phase in a solver body ('{m.group(0)}'); "
+                    "wrap the phase in KernelScope (src/core/instrument.hpp) "
+                    "so its profiler row, span and counters share one "
+                    "phase-table name",
+                )
+            )
+    return out
+
+
+# --------------------------------------------------------------------
 # driver
 
 CHECKS = {
@@ -510,6 +548,7 @@ CHECKS = {
     "lbmib-df-parity": check_df_parity,
     "lbmib-lock-discipline": check_lock_discipline,
     "lbmib-nondeterminism": check_nondeterminism,
+    "lbmib-raw-timing": check_raw_timing,
 }
 
 
@@ -542,7 +581,8 @@ def tree_files() -> list[pathlib.Path]:
 # on the compliant variant, and honor NOLINT.
 
 SELF_TESTS = [
-    # (check, violating snippet, clean snippet)
+    # (check, violating snippet, clean snippet[, repo-relative path the
+    # snippets are linted as; default: a temporary file name outside src/])
     (
         "lbmib-raw-sync",
         "std::mutex m_;\n",
@@ -580,6 +620,12 @@ SELF_TESTS = [
         "// NOLINTNEXTLINE(lbmib-*) bounded by the frame stack\n"
         "while (true) {\n  spin();\n}\n",
     ),
+    (
+        "lbmib-raw-timing",  # scoped to the solver step loops
+        "void f() {\n  WallTimer t;\n  work();\n}\n",
+        "void f() {\n  KernelScope s(prof, Phase::kBending);\n  work();\n}\n",
+        "src/core/case_solver.cpp",
+    ),
 ]
 
 
@@ -588,7 +634,7 @@ def self_test() -> int:
 
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (check, bad, good) in enumerate(SELF_TESTS):
+        for i, (check, bad, good, *rel) in enumerate(SELF_TESTS):
             for variant, text, expect_fire in (
                 ("bad", bad, True),
                 ("good", good, False),
@@ -596,7 +642,9 @@ def self_test() -> int:
                 p = pathlib.Path(tmp) / f"case{i}_{variant}.cpp"
                 p.write_text(text)
                 diags = [
-                    d for d in lint_file(p, p.name) if d.check == check
+                    d
+                    for d in lint_file(p, rel[0] if rel else p.name)
+                    if d.check == check
                 ]
                 fired = len(diags) > 0
                 if fired != expect_fire:

@@ -4,7 +4,7 @@
 # Usage: scripts/lint.sh [--strict] [--log FILE] [--only LEG[,LEG...]]
 #
 # Legs, in order:
-#   lbmib     the five lbmib-* protocol checks (DESIGN.md §17) — via the
+#   lbmib     the six lbmib-* protocol checks (DESIGN.md §17) — via the
 #             clang-tidy plugin when one is available, else via the
 #             portable engine scripts/lbmib_lint.py
 #   tidy      stock clang-tidy profile (.clang-tidy) over src/
@@ -75,7 +75,7 @@ skip_leg() {
   SKIPPED+=("$leg")
 }
 
-# --- lbmib: the five protocol checks ---------------------------------
+# --- lbmib: the six protocol checks ----------------------------------
 if wants lbmib; then
   PLUGIN="${LBMIB_TIDY_PLUGIN:-}"
   if [[ -z "$PLUGIN" ]]; then

@@ -16,7 +16,7 @@
 # them behind the fast profile.
 #
 # --lbmib PLUGIN.so loads the lbmib-tidy plugin (tools/lint/) and runs
-# ONLY its five protocol checks, all promoted to errors. The plugin must
+# ONLY its six protocol checks, all promoted to errors. The plugin must
 # have been built against the same LLVM as the clang-tidy binary; set
 # LLVM_DIR to the install CMake was pointed at and this script resolves
 # the matching binary from it.

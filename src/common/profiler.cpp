@@ -32,37 +32,27 @@ std::string_view kernel_name(Kernel k) {
 }
 
 const char* kernel_short_name(Kernel k) {
-  switch (k) {
-    case Kernel::kBendingForce:
-      return "bending";
-    case Kernel::kStretchingForce:
-      return "stretching";
-    case Kernel::kElasticForce:
-      return "elastic";
-    case Kernel::kSpreadForce:
-      return "spread";
-    case Kernel::kCollision:
-      return "collide";
-    case Kernel::kStreaming:
-      return "stream";
-    case Kernel::kUpdateVelocity:
-      return "update_velocity";
-    case Kernel::kMoveFibers:
-      return "move_fibers";
-    case Kernel::kCopyDistribution:
-      return "copy_df";
-  }
-  return "unknown";
+  const int i = static_cast<int>(k);
+  return i >= 0 && i < kNumKernels ? phase_name(static_cast<Phase>(i))
+                                   : "unknown";
 }
 
 int kernel_paper_index(Kernel k) { return static_cast<int>(k) + 1; }
+
+double KernelProfiler::seconds(Kernel k) const {
+  double sum = 0.0;
+  for (int r = 0; r < kNumPhases; ++r) {
+    if (kPhaseTable[r].bills == k) sum += seconds_[r];
+  }
+  return sum;
+}
 
 double KernelProfiler::total_seconds() const {
   return std::accumulate(seconds_.begin(), seconds_.end(), 0.0);
 }
 
 KernelProfiler& KernelProfiler::operator+=(const KernelProfiler& other) {
-  for (int i = 0; i < kNumKernels; ++i) seconds_[i] += other.seconds_[i];
+  for (int r = 0; r < kNumPhases; ++r) seconds_[r] += other.seconds_[r];
   return *this;
 }
 
@@ -72,9 +62,9 @@ std::vector<KernelProfiler::Row> KernelProfiler::ranked_rows() const {
   rows.reserve(kNumKernels);
   for (int i = 0; i < kNumKernels; ++i) {
     const auto k = static_cast<Kernel>(i);
+    const double s = seconds(k);
     rows.push_back(Row{k, kernel_paper_index(k), std::string(kernel_name(k)),
-                       seconds_[i],
-                       total > 0.0 ? 100.0 * seconds_[i] / total : 0.0});
+                       s, total > 0.0 ? 100.0 * s / total : 0.0});
   }
   std::stable_sort(rows.begin(), rows.end(),
                    [](const Row& a, const Row& b) {

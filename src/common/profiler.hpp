@@ -1,12 +1,17 @@
-// Per-kernel wall-time profiler.
+// Per-kernel wall-time profiler and the phase table.
 //
-// Substitutes for gprof in the paper's Table I: the sequential solver wraps
-// each of the nine LBM-IB kernels in a profiler scope, and report() prints
-// the kernels ranked by share of total time, like the paper's table.
+// Substitutes for gprof in the paper's Table I: every solver times each
+// phase of its step into a KernelProfiler, and report() prints the nine
+// kernels ranked by share of total time, like the paper's table.
+//
+// The phase table is the one list of instrumented phases: each row is a
+// name plus the Table-I kernel it bills, and the name is at once the
+// span name, the perf-counter key and the roofline row name.
 #pragma once
 
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,27 +35,87 @@ enum class Kernel : int {
 
 inline constexpr int kNumKernels = 9;
 
+/// Rows of the phase table. The first kNumKernels rows are the paper's
+/// kernels in Kernel order; the rest are the phases the fused, dataflow
+/// and distributed pipelines run instead, each billing one kernel.
+enum class Phase : int {
+  kBending = 0,
+  kStretching,
+  kElastic,
+  kSpread,
+  kCollide,
+  kStream,
+  kUpdateVelocity,
+  kMoveFibers,
+  kCopyDf,
+  kCollideStream,      ///< fused kernels 5+6
+  kSwapDf,             ///< kernel 9 as an O(1) buffer swap
+  kResetForces,        ///< cube fused pipeline's kernel-9 loop
+  kFiberForcesSpread,  ///< distributed kernels 1-4 on the replica
+  kFiberForcesFused,   ///< dataflow kernels 1-4 fused per fiber
+  kTaskCollideStream,  ///< dataflow COLLIDE+STREAM task
+  kTaskUpdateCopy,     ///< dataflow UPDATE+COPY task
+  kExchangeHalos,      ///< distributed 8-message halo exchange
+};
+
+inline constexpr int kNumPhases = 17;
+
+/// Trace category of a phase's span.
+enum class PhaseCat : std::uint8_t { kKernel, kTask, kHalo };
+
+struct PhaseRow {
+  const char* name;  ///< span, counter and roofline row name
+  Kernel bills;      ///< the Table-I kernel its time is billed to
+  PhaseCat cat;
+};
+
+inline constexpr std::array<PhaseRow, kNumPhases> kPhaseTable = {{
+    {"bending", Kernel::kBendingForce, PhaseCat::kKernel},
+    {"stretching", Kernel::kStretchingForce, PhaseCat::kKernel},
+    {"elastic", Kernel::kElasticForce, PhaseCat::kKernel},
+    {"spread", Kernel::kSpreadForce, PhaseCat::kKernel},
+    {"collide", Kernel::kCollision, PhaseCat::kKernel},
+    {"stream", Kernel::kStreaming, PhaseCat::kKernel},
+    {"update_velocity", Kernel::kUpdateVelocity, PhaseCat::kKernel},
+    {"move_fibers", Kernel::kMoveFibers, PhaseCat::kKernel},
+    {"copy_df", Kernel::kCopyDistribution, PhaseCat::kKernel},
+    {"collide_stream", Kernel::kCollision, PhaseCat::kKernel},
+    {"swap_df", Kernel::kCopyDistribution, PhaseCat::kKernel},
+    {"reset_forces", Kernel::kCopyDistribution, PhaseCat::kKernel},
+    {"fiber_forces_spread", Kernel::kSpreadForce, PhaseCat::kKernel},
+    {"fiber_forces_fused", Kernel::kSpreadForce, PhaseCat::kKernel},
+    {"task.collide_stream", Kernel::kCollision, PhaseCat::kTask},
+    {"task.update_copy", Kernel::kCollision, PhaseCat::kTask},
+    {"exchange_halos", Kernel::kStreaming, PhaseCat::kHalo},
+}};
+
+constexpr const PhaseRow& phase_row(Phase p) {
+  return kPhaseTable[static_cast<int>(p)];
+}
+
+constexpr const char* phase_name(Phase p) { return phase_row(p).name; }
+
 /// Human-readable kernel name (matches the paper's naming).
 std::string_view kernel_name(Kernel k);
 
-/// Short kernel tag used as trace span names and metric labels
-/// ("collide", "spread", ...). Static storage, null-terminated.
+/// Short kernel tag: the kernel's own phase-table row name ("collide",
+/// "spread", ...), used as its span name and metric label.
 const char* kernel_short_name(Kernel k);
 
 /// Paper index of the kernel (1-based, as used in Algorithm 1 and Table I).
 int kernel_paper_index(Kernel k);
 
-/// Accumulates wall time per kernel. Not thread-safe by itself; parallel
-/// solvers keep one KernelProfiler per thread and merge with operator+=.
+/// Accumulates wall time per phase-table row. Not thread-safe by itself;
+/// parallel solvers keep one KernelProfiler per thread and merge them.
 class KernelProfiler {
  public:
-  /// RAII scope that charges its lifetime to one kernel.
+  /// RAII scope that charges its lifetime to one phase row.
   class Scope {
    public:
-    Scope(KernelProfiler& p, Kernel k)
-        : profiler_(p), kernel_(k), start_(Clock::now()) {}
+    Scope(KernelProfiler& p, Phase phase)
+        : profiler_(p), phase_(phase), start_(Clock::now()) {}
     ~Scope() {
-      profiler_.add(kernel_,
+      profiler_.add(phase_,
                     std::chrono::duration<double>(Clock::now() - start_)
                         .count());
     }
@@ -60,17 +125,20 @@ class KernelProfiler {
    private:
     using Clock = std::chrono::steady_clock;
     KernelProfiler& profiler_;
-    Kernel kernel_;
+    Phase phase_;
     Clock::time_point start_;
   };
 
-  void add(Kernel k, double seconds) {
-    seconds_[static_cast<int>(k)] += seconds;
+  void add(Phase p, double seconds) {
+    seconds_[static_cast<int>(p)] += seconds;
   }
 
-  double seconds(Kernel k) const { return seconds_[static_cast<int>(k)]; }
+  /// Seconds of one row.
+  double seconds(Phase p) const { return seconds_[static_cast<int>(p)]; }
+  /// Seconds billed to a kernel: the sum of the rows that bill it.
+  double seconds(Kernel k) const;
 
-  /// Total time across all kernels.
+  /// Total time across all rows.
   double total_seconds() const;
 
   /// Merge another profiler's accumulated time into this one.
@@ -94,8 +162,7 @@ class KernelProfiler {
   std::string report() const;
 
  private:
-  using Clock = std::chrono::steady_clock;
-  std::array<double, kNumKernels> seconds_{};
+  std::array<double, kNumPhases> seconds_{};
 };
 
 /// Table-I style report extended with per-thread spread columns: per

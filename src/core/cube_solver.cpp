@@ -1,16 +1,10 @@
 #include "core/cube_solver.hpp"
 
-#include <algorithm>
-#include <chrono>
-
 #include "common/error.hpp"
+#include "core/instrument.hpp"
 #include "cube/cube_kernels.hpp"
 #include "ib/fiber_forces.hpp"
 #include "lbm/boundary.hpp"
-#include "obs/trace.hpp"
-#include "parallel/cancel.hpp"
-#include "parallel/chaos.hpp"
-#include "parallel/race_detector.hpp"
 #include "parallel/thread_team.hpp"
 
 namespace lbmib {
@@ -35,8 +29,7 @@ CubeSolver::CubeSolver(const SimulationParams& params,
             policy),
       barrier_(make_barrier(barrier_kind, params.num_threads)),
       owned_cubes_(static_cast<Size>(params.num_threads)),
-      owned_fibers_(static_cast<Size>(params.num_threads)),
-      thread_profiles_(static_cast<Size>(params.num_threads)) {
+      owned_fibers_(static_cast<Size>(params.num_threads)) {
   finish_construction(policy);
 }
 
@@ -51,8 +44,7 @@ CubeSolver::CubeSolver(const SimulationParams& params,
                                    grid_.cubes_z(), policy)),
       barrier_(make_barrier(barrier_kind, params.num_threads)),
       owned_cubes_(static_cast<Size>(params.num_threads)),
-      owned_fibers_(static_cast<Size>(params.num_threads)),
-      thread_profiles_(static_cast<Size>(params.num_threads)) {
+      owned_fibers_(static_cast<Size>(params.num_threads)) {
   finish_construction(policy);
 }
 
@@ -99,94 +91,65 @@ void CubeSolver::finish_construction(DistributionPolicy policy) {
 void CubeSolver::thread_entry(int tid, Index num_steps,
                               const StepObserver& observer,
                               Index observer_interval) {
-  using Clock = std::chrono::steady_clock;
-  auto seconds_between = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double>(b - a).count();
-  };
-
   KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
   // Debug builds: bind this worker to the checker for the whole loop; the
-  // binding resets the thread's phase automaton to kSpread.
+  // binding resets the thread's phase automaton to kSpread, and each
+  // barrier's sync point advances it to the phase the barrier opens.
   LBMIB_ACCESS_CHECK(ScopedThreadBind checker_bind(*access_checker_, tid);)
+  AccessChecker* const checker = access_checker_.get();
   const std::vector<Size>& my_cubes = owned_cubes_[static_cast<Size>(tid)];
   const std::vector<std::pair<Size, Index>>& my_fibers =
       owned_fibers_[static_cast<Size>(tid)];
 
-  // Liveness: one heartbeat per phase per step plus a cancel poll at
-  // the step boundary. The beat label names the sync point the thread
-  // is about to enter, which is what a hang report shows for a thread
-  // that never came out of it.
-  ProgressBoard& board = ProgressBoard::global();
-
+  // Liveness: one sync point per phase per step plus a cancel poll at
+  // the step boundary. The label names the sync point the thread is
+  // about to enter, which is what a hang report shows for a thread that
+  // never came out of it.
   for (Index step = 0; step < num_steps; ++step) {
     cancel_point("cube:step");
-    board.beat("cube:step:start");
+    sync_point("cube:step:start", tid, step);
     // One bar per thread per step in the trace timeline; kernel and
     // barrier-wait spans nest inside it.
     LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
                      static_cast<std::int64_t>(step));
     // --- 1st loop: fiber kernels 1-3 on owned fibers ---------------------
-    LBMIB_RACE_CHECK(race::context("cube solver: fiber-force phase");)
     {
-      auto t0 = Clock::now();
-      {
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                         kernel_short_name(Kernel::kBendingForce));
-        for (const auto& [s, f] : my_fibers) {
-          compute_bending_force(structure_[s], f, f + 1);
-        }
+      KernelScope scope(prof, Phase::kBending);
+      for (const auto& [s, f] : my_fibers) {
+        compute_bending_force(structure_[s], f, f + 1);
       }
-      auto t1 = Clock::now();
-      {
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                         kernel_short_name(Kernel::kStretchingForce));
-        for (const auto& [s, f] : my_fibers) {
-          compute_stretching_force(structure_[s], f, f + 1);
-        }
+    }
+    {
+      KernelScope scope(prof, Phase::kStretching);
+      for (const auto& [s, f] : my_fibers) {
+        compute_stretching_force(structure_[s], f, f + 1);
       }
-      auto t2 = Clock::now();
-      {
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                         kernel_short_name(Kernel::kElasticForce));
-        for (const auto& [s, f] : my_fibers) {
-          compute_elastic_force(structure_[s], f, f + 1);
-        }
+    }
+    {
+      KernelScope scope(prof, Phase::kElastic);
+      for (const auto& [s, f] : my_fibers) {
+        compute_elastic_force(structure_[s], f, f + 1);
       }
-      auto t3 = Clock::now();
-      prof.add(Kernel::kBendingForce, seconds_between(t0, t1));
-      prof.add(Kernel::kStretchingForce, seconds_between(t1, t2));
-      prof.add(Kernel::kElasticForce, seconds_between(t2, t3));
     }
     // Extra barrier (see header comment): every fiber's elastic force must
     // be published before any thread spreads it.
-    board.beat("cube:barrier:spread");
-    if (chaos::enabled()) chaos::sync_point("cube:barrier:spread", tid, step);
-    barrier_->arrive_and_wait();
-    LBMIB_ACCESS_CHECK(
-        access_checker_->advance_phase(StepPhase::kCollideStream);)
-    LBMIB_RACE_CHECK(
-        race::context("cube solver: spread+collide+stream phase");)
+    sync_point("cube:barrier:spread", tid, step, *barrier_, checker,
+               StepPhase::kCollideStream);
 
     // --- kernel 4, owner computes: every fiber node, own cubes only ------
     {
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kSpreadForce));
-      auto t0 = Clock::now();
+      KernelScope scope(prof, Phase::kSpread);
       for (const FiberSheet& sheet : structure_) {
         cube_spread_force_owned(sheet, grid_, cube_owner_, tid);
       }
-      prof.add(Kernel::kSpreadForce, seconds_between(t0, Clock::now()));
     }
     // No barrier here: collision reads only its own cube's force, and only
     // this thread wrote it.
 
     // --- 2nd loop: collision + streaming per cube ------------------------
     if (params_.fused_step) {
-      // One register-fused pass per cube (kernels 5+6); the whole sweep is
-      // charged to the collision bucket — there is no second traversal
-      // left to time as "streaming".
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "collide_stream");
-      auto t0 = Clock::now();
+      // One register-fused pass per cube (kernels 5+6).
+      KernelScope scope(prof, Phase::kCollideStream);
       for (Size cube : my_cubes) {
         if (mrt_) {
           cube_mrt_collide_stream(grid_, *mrt_, cube, params_.simd_step);
@@ -195,75 +158,56 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
                               params_.simd_step);
         }
       }
-      prof.add(Kernel::kCollision, seconds_between(t0, Clock::now()));
     } else {
       // Collide and stream interleave per cube here, so the trace gets
-      // one combined span; the profiler still splits the buckets.
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "collide_stream");
-      double collide_s = 0.0, stream_s = 0.0;
+      // one combined span while the profiler still bills the two rows.
+      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
+                       phase_name(Phase::kCollideStream));
       for (Size cube : my_cubes) {
-        auto t0 = Clock::now();
-        if (mrt_) {
-          cube_mrt_collide(grid_, *mrt_, cube);
-        } else {
-          cube_collide(grid_, params_.tau, cube);
+        {
+          KernelProfiler::Scope collide(prof, Phase::kCollide);
+          if (mrt_) {
+            cube_mrt_collide(grid_, *mrt_, cube);
+          } else {
+            cube_collide(grid_, params_.tau, cube);
+          }
         }
-        auto t1 = Clock::now();
+        KernelProfiler::Scope stream(prof, Phase::kStream);
         cube_stream(grid_, cube);
-        auto t2 = Clock::now();
-        collide_s += seconds_between(t0, t1);
-        stream_s += seconds_between(t1, t2);
       }
-      prof.add(Kernel::kCollision, collide_s);
-      prof.add(Kernel::kStreaming, stream_s);
     }
-    board.beat("cube:barrier:collide");
-    if (chaos::enabled()) chaos::sync_point("cube:barrier:collide", tid, step);
-    barrier_->arrive_and_wait();  // paper barrier #1
-    LBMIB_ACCESS_CHECK(access_checker_->advance_phase(StepPhase::kUpdate);)
-    LBMIB_RACE_CHECK(race::context("cube solver: update phase");)
+    sync_point("cube:barrier:collide", tid, step, *barrier_, checker,
+               StepPhase::kUpdate);  // paper barrier #1
 
     // --- 3rd loop: update velocity ---------------------------------------
     {
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kUpdateVelocity));
-      auto t0 = Clock::now();
+      KernelScope scope(prof, Phase::kUpdateVelocity);
       if (uses_inlet_outlet(params_.boundary)) {
         for (Size cube : my_cubes) {
           cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
         }
       }
       for (Size cube : my_cubes) cube_update_velocity(grid_, cube);
-      prof.add(Kernel::kUpdateVelocity, seconds_between(t0, Clock::now()));
     }
-    board.beat("cube:barrier:update");
-    if (chaos::enabled()) chaos::sync_point("cube:barrier:update", tid, step);
-    barrier_->arrive_and_wait();  // paper barrier #2
-    LBMIB_ACCESS_CHECK(access_checker_->advance_phase(StepPhase::kMoveCopy);)
-    LBMIB_RACE_CHECK(race::context("cube solver: move+copy phase");)
+    sync_point("cube:barrier:update", tid, step, *barrier_, checker,
+               StepPhase::kMoveCopy);  // paper barrier #2
 
     // --- 4th loop: move owned fibers --------------------------------------
     {
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kMoveFibers));
-      auto t0 = Clock::now();
+      KernelScope scope(prof, Phase::kMoveFibers);
       for (const auto& [s, f] : my_fibers) {
         cube_move_fibers(structure_[s], grid_, f, f + 1);
       }
-      prof.add(Kernel::kMoveFibers, seconds_between(t0, Clock::now()));
     }
 
     // --- 5th loop: kernel 9, and reset forces for the next step's
     // spreading (own cubes only, so no synchronization needed) -------------
     {
       // Under the fused pipeline no distributions are copied here — the
-      // loop only resets forces — so don't record it as copy_df, where
-      // the roofline would charge it the 38-plane copy traffic.
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       params_.fused_step
-                           ? "reset_forces"
-                           : kernel_short_name(Kernel::kCopyDistribution));
-      auto t0 = Clock::now();
+      // loop only resets forces — so its row is reset_forces, not
+      // copy_df, which the roofline would charge the 38-plane copy.
+      KernelScope scope(prof, params_.fused_step ? Phase::kResetForces
+                                                 : Phase::kCopyDf);
       for (Size cube : my_cubes) {
         if (!params_.fused_step) cube_copy_distributions(grid_, cube);
         // The reset below writes the force slots directly, bypassing the
@@ -279,23 +223,18 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
           fz[local] = params_.body_force.z;
         }
       }
-      if (params_.fused_step && tid == 0) {
-        // Kernel 9 as an O(1) parity flip, done once by thread 0. Legal
-        // anywhere inside the move+copy phase: after barrier #2 no thread
-        // reads df/df_new again this step (loops 4/5 touch only
-        // velocity/force slots, whose bases never move), and barrier #3
-        // publishes the flip before the next step's reads.
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "swap_df");
-        grid_.swap_df_buffers();
-      }
-      prof.add(Kernel::kCopyDistribution, seconds_between(t0, Clock::now()));
     }
-    board.beat("cube:barrier:step-end");
-    if (chaos::enabled()) {
-      chaos::sync_point("cube:barrier:step-end", tid, step);
+    if (params_.fused_step && tid == 0) {
+      // Kernel 9 as an O(1) parity flip, done once by thread 0. Legal
+      // anywhere inside the move+copy phase: after barrier #2 no thread
+      // reads df/df_new again this step (loops 4/5 touch only
+      // velocity/force slots, whose bases never move), and barrier #3
+      // publishes the flip before the next step's reads.
+      KernelScope scope(prof, Phase::kSwapDf);
+      grid_.swap_df_buffers();
     }
-    barrier_->arrive_and_wait();  // paper barrier #3 (end of step)
-    LBMIB_ACCESS_CHECK(access_checker_->advance_phase(StepPhase::kSpread);)
+    sync_point("cube:barrier:step-end", tid, step, *barrier_, checker,
+               StepPhase::kSpread);  // paper barrier #3 (end of step)
 
     if (tid == 0) ++steps_completed_;
     if (observer && ((step + 1) % observer_interval == 0)) {
@@ -311,18 +250,7 @@ void CubeSolver::run_loop(Index num_steps, const StepObserver& observer,
   team.run([&](int tid) {
     thread_entry(tid, num_steps, observer, observer_interval);
   });
-
-  // Fold per-thread times into the aggregate profiler: charge the slowest
-  // thread per kernel (wall time of that phase).
-  for (int k = 0; k < kNumKernels; ++k) {
-    double max_time = 0.0;
-    for (const KernelProfiler& p : thread_profiles_) {
-      max_time = std::max(max_time, p.seconds(static_cast<Kernel>(k)));
-    }
-    profiler_.add(static_cast<Kernel>(k),
-                  max_time - profiler_merge_mark_[static_cast<Size>(k)]);
-    profiler_merge_mark_[static_cast<Size>(k)] = max_time;
-  }
+  merge_thread_profiles();
 }
 
 void CubeSolver::step() { run_loop(1, nullptr, 1); }

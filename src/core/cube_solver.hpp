@@ -56,10 +56,6 @@ class CubeSolver final : public Solver {
   void snapshot_fluid(FluidGrid& out) const override;
   std::string name() const override { return "cube"; }
 
-  std::vector<KernelProfiler> per_thread_profiles() const override {
-    return thread_profiles_;
-  }
-
   CubeGrid& cubes() { return grid_; }
   const CubeGrid& cubes() const { return grid_; }
   const CubeDistribution& distribution() const { return dist_; }
@@ -91,8 +87,6 @@ class CubeSolver final : public Solver {
   /// (sheet index, fiber index) pairs owned per thread; distribution uses
   /// the global fiber numbering across all sheets of the structure.
   std::vector<std::vector<std::pair<Size, Index>>> owned_fibers_;
-  std::vector<KernelProfiler> thread_profiles_;
-  std::array<double, kNumKernels> profiler_merge_mark_{};
   /// Debug ownership/phase checker, allocated and attached to grid_ only
   /// in LBMIB_CHECK_ACCESS builds (null otherwise).
   std::unique_ptr<AccessChecker> access_checker_;

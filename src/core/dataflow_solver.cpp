@@ -1,21 +1,17 @@
 #include "core/dataflow_solver.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <thread>
 #include <utility>
 
 #include "common/error.hpp"
+#include "core/instrument.hpp"
 #include "cube/cube_kernels.hpp"
 #include "ib/fiber_forces.hpp"
 #include "lbm/boundary.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "parallel/cancel.hpp"
-#include "parallel/chaos.hpp"
 #include "parallel/modelcheck.hpp"
-#include "parallel/race_detector.hpp"
 #include "parallel/thread_team.hpp"
 
 namespace lbmib {
@@ -39,7 +35,6 @@ DataflowCubeSolver::DataflowCubeSolver(const SimulationParams& params)
     : Solver(params),
       grid_(params),
       barrier_(params.num_threads),
-      thread_profiles_(static_cast<Size>(params.num_threads)),
       tasks_executed_(static_cast<Size>(params.num_threads), 0) {
   const Size ncubes = grid_.num_cubes();
 
@@ -92,29 +87,65 @@ void DataflowCubeSolver::arm_step() {
   move_cursor_.store(0, std::memory_order_relaxed);
 }
 
+std::int64_t DataflowCubeSolver::take_task(
+    int tid, const std::atomic<std::int64_t>& slot, const char* where) {
+  // The slot may not be published yet; it must become non-empty because
+  // every task is produced exactly once — unless the producer died or
+  // stalled, which is why the slow (yield) branch of the spin is a
+  // cancellation point. Under the model checker the spin becomes a
+  // cooperative wait on the slot (the publisher's mc::notify on the same
+  // address wakes it), so an unpublished task is a structural deadlock
+  // rather than a livelock.
+  LBMIB_MC_CHECK(if (mc::active()) {
+    mc::sched_point(mc::Op::kEdgeAcquire, &slot);
+    const CancelToken* token = CancelToken::current();
+    mc::wait_until(&slot, [&slot, token] {
+      return slot.load(std::memory_order_acquire) != kEmptySlot ||
+             (token != nullptr && token->cancelled());
+    });
+    if (slot.load(std::memory_order_acquire) == kEmptySlot) {
+      cancel_point(where);
+    }
+  })
+  std::int64_t task;
+  int spins = 0;
+  while ((task = slot.load(std::memory_order_acquire)) == kEmptySlot) {
+    if (++spins >= 256) {
+      spins = 0;
+      cancel_point(where);
+      std::this_thread::yield();  // oversubscribed hosts
+    } else {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    }
+  }
+  ++tasks_executed_[static_cast<Size>(tid)];
+  LBMIB_TRACE_ON(if (obs::Tracer::active()) {
+    obs::metric_dataflow_tasks().inc();
+  })
+  // Order this thread after whoever published the slot (seeded collide
+  // slots carry no edge; the spread barrier or the team launch orders
+  // those).
+  LBMIB_RACE_CHECK(race::edge_acquire(&slot);)
+  return task;
+}
+
 void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
                                       const StepObserver& observer,
                                       Index observer_interval) {
-  using Clock = std::chrono::steady_clock;
-  auto since = [](Clock::time_point t0) {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
   KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
   const Size total_tasks = 2 * grid_.num_cubes();
   const Size nfibers = fiber_list_.size();
 
-  ProgressBoard& board = ProgressBoard::global();
-
   for (Index step = 0; step < num_steps; ++step) {
     cancel_point("dataflow:step");
-    board.beat("dataflow:step:start");
+    sync_point("dataflow:step:start", tid, step);
     LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
                      static_cast<std::int64_t>(step));
     // --- fiber force phase: kernels 1-4 fused per fiber, self-scheduled
-    LBMIB_RACE_CHECK(race::context("dataflow solver: spread phase");)
     {
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "fiber_forces_fused");
-      auto t0 = Clock::now();
+      KernelScope scope(prof, Phase::kFiberForcesFused);
       for (;;) {
         cancel_point("dataflow:fiber-forces");
         const Size i = fiber_cursor_.fetch_add(1, std::memory_order_relaxed);
@@ -126,71 +157,23 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
         compute_elastic_force(sheet, f, f + 1);
         cube_spread_force_atomic(sheet, grid_, f, f + 1);
       }
-      prof.add(Kernel::kSpreadForce, since(t0));
     }
-    board.beat("dataflow:barrier:spread");
-    if (chaos::enabled()) {
-      chaos::sync_point("dataflow:barrier:spread", tid, step);
-    }
-    barrier_.arrive_and_wait();  // spreading complete before collision
-    LBMIB_RACE_CHECK(race::context("dataflow solver: task loop");)
+    // Spreading complete before collision.
+    sync_point("dataflow:barrier:spread", tid, step, barrier_);
 
     // --- fluid dataflow: COLLIDE+STREAM -> (deps) -> UPDATE+COPY -------
+    // Each task bills its own row; the slot-wait spin bills nothing.
     {
-      board.beat("dataflow:task-loop");
-      if (chaos::enabled()) {
-        chaos::sync_point("dataflow:task-loop", tid, step);
-      }
-      auto t0 = Clock::now();
-      for (;;) {
-        const Size slot =
-            queue_head_.fetch_add(1, std::memory_order_relaxed);
-        if (slot >= total_tasks) break;
-        // The slot may not be published yet; it must become non-empty
-        // because exactly total_tasks tasks are produced per step —
-        // unless the producer died or stalled, which is why the slow
-        // (yield) branch of the empty-slot wait is a cancellation point.
-        std::int64_t task;
-        // Under the model checker the empty-slot spin becomes a
-        // cooperative wait on the slot (the publisher's mc::notify on
-        // the same address wakes it), so an unpublished task is a
-        // structural deadlock rather than a livelock.
-        LBMIB_MC_CHECK(if (mc::active()) {
-          mc::sched_point(mc::Op::kEdgeAcquire, &queue_[slot]);
-          const CancelToken* token = CancelToken::current();
-          mc::wait_until(&queue_[slot], [this, slot, token] {
-            return queue_[slot].load(std::memory_order_acquire) !=
-                       kEmptySlot ||
-                   (token != nullptr && token->cancelled());
-          });
-          if (queue_[slot].load(std::memory_order_acquire) == kEmptySlot) {
-            cancel_point("dataflow:task-slot-wait");
-          }
-        })
-        int spins = 0;
-        while ((task = queue_[slot].load(std::memory_order_acquire)) ==
-               kEmptySlot) {
-          if (++spins >= 256) {
-            spins = 0;
-            cancel_point("dataflow:task-slot-wait");
-            std::this_thread::yield();  // oversubscribed hosts
-          } else {
-#if defined(__x86_64__) || defined(__i386__)
-            __builtin_ia32_pause();
-#endif
-          }
-        }
-        ++tasks_executed_[static_cast<Size>(tid)];
-        LBMIB_TRACE_ON(if (obs::Tracer::active()) {
-          obs::metric_dataflow_tasks().inc();
-        })
-        // Order this thread after whoever published the slot (seeded
-        // collide slots carry no edge; the spread barrier orders those).
-        LBMIB_RACE_CHECK(race::edge_acquire(&queue_[slot]);)
+      sync_point("dataflow:task-loop", tid, step);
+      Size slot;
+      while ((slot = queue_head_.fetch_add(1, std::memory_order_relaxed)) <
+             total_tasks) {
+        const std::int64_t task =
+            take_task(tid, queue_[slot], "dataflow:task-slot-wait");
         if (task > 0) {
           const Size cube = static_cast<Size>(task - 1);
-          LBMIB_TRACE_SPAN(obs::SpanCat::kTask, "task.collide_stream",
-                           static_cast<std::int64_t>(cube));
+          KernelScope scope(prof, Phase::kTaskCollideStream,
+                            static_cast<std::int64_t>(cube));
           if (params_.fused_step) {
             if (mrt_) {
               cube_mrt_collide_stream(grid_, *mrt_, cube,
@@ -229,8 +212,8 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
           }
         } else {
           const Size cube = static_cast<Size>(-task - 1);
-          LBMIB_TRACE_SPAN(obs::SpanCat::kTask, "task.update_copy",
-                           static_cast<std::int64_t>(cube));
+          KernelScope scope(prof, Phase::kTaskUpdateCopy,
+                            static_cast<std::int64_t>(cube));
           if (uses_inlet_outlet(params_.boundary)) {
             cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
           }
@@ -251,20 +234,13 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
           }
         }
       }
-      prof.add(Kernel::kCollision, since(t0));
     }
-    board.beat("dataflow:barrier:tasks-done");
-    if (chaos::enabled()) {
-      chaos::sync_point("dataflow:barrier:tasks-done", tid, step);
-    }
-    barrier_.arrive_and_wait();  // all velocities in place
-    LBMIB_RACE_CHECK(race::context("dataflow solver: move phase");)
+    // All velocities in place.
+    sync_point("dataflow:barrier:tasks-done", tid, step, barrier_);
 
     // --- move fibers, self-scheduled ------------------------------------
     {
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kMoveFibers));
-      auto t0 = Clock::now();
+      KernelScope scope(prof, Phase::kMoveFibers);
       for (;;) {
         cancel_point("dataflow:move-fibers");
         const Size i = move_cursor_.fetch_add(1, std::memory_order_relaxed);
@@ -272,10 +248,9 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
         const auto [s, f] = fiber_list_[i];
         cube_move_fibers(structure_[s], grid_, f, f + 1);
       }
-      prof.add(Kernel::kMoveFibers, since(t0));
     }
-    board.beat("dataflow:barrier:moved");
-    barrier_.arrive_and_wait();  // positions settled
+    // Positions settled.
+    sync_point("dataflow:barrier:moved", tid, step, barrier_);
 
     if (tid == 0) {
       // Kernel 9 of the fused pipeline: flip the grid's df/df_new bases
@@ -283,14 +258,14 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
       // behind every thread and nobody touches the grid until the
       // re-arm barrier below publishes the flip.
       if (params_.fused_step) {
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "swap_df");
+        KernelScope scope(prof, Phase::kSwapDf);
         grid_.swap_df_buffers();
       }
       ++steps_completed_;
       arm_step();
     }
-    board.beat("dataflow:barrier:rearm");
-    barrier_.arrive_and_wait();  // queue re-armed for everyone
+    // Queue re-armed for everyone.
+    sync_point("dataflow:barrier:rearm", tid, step, barrier_);
 
     if (observer && ((step + 1) % observer_interval == 0)) {
       if (tid == 0) observer(*this, steps_completed_ - 1);
@@ -349,44 +324,14 @@ void DataflowCubeSolver::run_overlapped(Index num_steps) {
 
   ThreadTeam team(params_.num_threads);
   team.run([&](int tid) {
-    ProgressBoard& board = ProgressBoard::global();
-    for (;;) {
-      const Size slot = head.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= total_tasks) break;
-      board.beat("dataflow:overlapped-task");
-      std::int64_t task;
-      LBMIB_MC_CHECK(if (mc::active()) {
-        mc::sched_point(mc::Op::kEdgeAcquire, &queue[slot]);
-        const CancelToken* token = CancelToken::current();
-        mc::wait_until(&queue[slot], [&queue, slot, token] {
-          return queue[slot].load(std::memory_order_acquire) !=
-                     kEmptySlot ||
-                 (token != nullptr && token->cancelled());
-        });
-        if (queue[slot].load(std::memory_order_acquire) == kEmptySlot) {
-          cancel_point("dataflow:overlapped-slot-wait");
-        }
-      })
-      int spins = 0;
-      while ((task = queue[slot].load(std::memory_order_acquire)) ==
-             kEmptySlot) {
-        if (++spins >= 256) {
-          spins = 0;
-          cancel_point("dataflow:overlapped-slot-wait");
-          std::this_thread::yield();
-        } else {
-#if defined(__x86_64__) || defined(__i386__)
-          __builtin_ia32_pause();
-#endif
-        }
-      }
-      ++tasks_executed_[static_cast<Size>(tid)];
-      LBMIB_TRACE_ON(if (obs::Tracer::active()) {
-        obs::metric_dataflow_tasks().inc();
-      })
-      LBMIB_RACE_CHECK(
-          race::context("dataflow solver: overlapped task loop");
-          race::edge_acquire(&queue[slot]);)
+    KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
+    Size slot;
+    while ((slot = head.fetch_add(1, std::memory_order_relaxed)) <
+           total_tasks) {
+      // No step number: a task's step is known only once it is read.
+      sync_point("dataflow:overlapped-task", tid, -1);
+      const std::int64_t task =
+          take_task(tid, queue[slot], "dataflow:overlapped-slot-wait");
       const bool is_collide = task > 0;
       const Size flat = static_cast<Size>(is_collide ? task - 1 : -task - 1);
       const Size step = flat / per_step;
@@ -396,10 +341,10 @@ void DataflowCubeSolver::run_overlapped(Index num_steps) {
       const bool src_parity = p0 != ((step & 1) != 0);
       const Size src_base = CubeGrid::df_base_for(src_parity);
       const Size dst_base = CubeGrid::df_base_for(!src_parity);
-      LBMIB_TRACE_SPAN(obs::SpanCat::kTask,
-                       is_collide ? "task.collide_stream"
-                                  : "task.update_copy",
-                       static_cast<std::int64_t>(cube));
+      KernelScope scope(prof,
+                        is_collide ? Phase::kTaskCollideStream
+                                   : Phase::kTaskUpdateCopy,
+                        static_cast<std::int64_t>(cube));
 
       if (is_collide) {
         if (params_.fused_step) {
@@ -474,6 +419,7 @@ void DataflowCubeSolver::run_overlapped(Index num_steps) {
     grid_.set_swap_parity(p0 != ((num_steps & 1) != 0));
   }
   steps_completed_ += num_steps;
+  merge_thread_profiles();
   // Leave the per-step machinery armed for subsequent stepwise runs.
   arm_step();
 }
@@ -485,16 +431,7 @@ void DataflowCubeSolver::run_loop(Index num_steps,
   team.run([&](int tid) {
     thread_entry(tid, num_steps, observer, observer_interval);
   });
-  // Aggregate profiler: max across threads per kernel.
-  for (int k = 0; k < kNumKernels; ++k) {
-    double max_time = 0.0;
-    for (const KernelProfiler& p : thread_profiles_) {
-      max_time = std::max(max_time, p.seconds(static_cast<Kernel>(k)));
-    }
-    profiler_.add(static_cast<Kernel>(k),
-                  max_time - profiler_merge_mark_[static_cast<Size>(k)]);
-    profiler_merge_mark_[static_cast<Size>(k)] = max_time;
-  }
+  merge_thread_profiles();
 }
 
 void DataflowCubeSolver::step() { run_loop(1, nullptr, 1); }

@@ -56,10 +56,6 @@ class DataflowCubeSolver final : public Solver {
   void snapshot_fluid(FluidGrid& out) const override;
   std::string name() const override { return "dataflow"; }
 
-  std::vector<KernelProfiler> per_thread_profiles() const override {
-    return thread_profiles_;
-  }
-
   CubeGrid& cubes() { return grid_; }
   const CubeGrid& cubes() const { return grid_; }
 
@@ -85,6 +81,11 @@ class DataflowCubeSolver final : public Solver {
   /// Fiber-free cross-step pipeline: all steps as one task graph.
   void run_overlapped(Index num_steps);
 
+  /// Wait for `slot` to be published, count it as one of thread `tid`'s
+  /// tasks and return it; `where` names the wait for cancellation.
+  std::int64_t take_task(int tid, const std::atomic<std::int64_t>& slot,
+                         const char* where);
+
   CubeGrid grid_;
   BlockingBarrier barrier_;
 
@@ -103,9 +104,7 @@ class DataflowCubeSolver final : public Solver {
   std::atomic<Size> fiber_cursor_{0};
   std::atomic<Size> move_cursor_{0};
 
-  std::vector<KernelProfiler> thread_profiles_;
   std::vector<Size> tasks_executed_;
-  std::array<double, kNumKernels> profiler_merge_mark_{};
 };
 
 }  // namespace lbmib

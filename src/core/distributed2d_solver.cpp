@@ -1,8 +1,7 @@
 #include "core/distributed2d_solver.hpp"
 
-#include <chrono>
-
 #include "common/error.hpp"
+#include "core/instrument.hpp"
 #include "ib/fiber_forces.hpp"
 #include "ib/spreading.hpp"
 #include "lbm/boundary.hpp"
@@ -13,10 +12,6 @@
 #include "lbm/mrt.hpp"
 #include "lbm/streaming.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "parallel/cancel.hpp"
-#include "parallel/chaos.hpp"
-#include "parallel/race_detector.hpp"
 #include "parallel/thread_team.hpp"
 
 namespace lbmib {
@@ -59,8 +54,7 @@ Distributed2DSolver::Distributed2DSolver(const SimulationParams& params,
     : Solver(params),
       mesh_(mesh),
       comm_(params.num_threads),
-      barrier_(params.num_threads),
-      rank_profiles_(static_cast<Size>(params.num_threads)) {
+      barrier_(params.num_threads) {
   const auto [rx, ry] = mesh == Mesh::kSlabs
                             ? std::pair<int, int>{params.num_threads, 1}
                             : balanced_2d(params.num_threads);
@@ -113,8 +107,6 @@ Distributed2DSolver::Tile Distributed2DSolver::tile_of(int rank) const {
 
 void Distributed2DSolver::exchange_halos(int rank) {
   using namespace d3q19;
-  LBMIB_TRACE_SPAN(obs::SpanCat::kHalo, "exchange_halos",
-                   static_cast<std::int64_t>(rank));
   LBMIB_TRACE_ON(if (obs::Tracer::active()) {
     obs::metric_halo_exchanges().inc(8.0);  // 4 faces + 4 corners
   })
@@ -406,14 +398,9 @@ void Distributed2DSolver::move_fibers_allreduce(Rank& r, int rank) {
 void Distributed2DSolver::rank_entry(int rank, Index num_steps,
                                      const StepObserver& observer,
                                      Index observer_interval) {
-  using Clock = std::chrono::steady_clock;
-  auto since = [](Clock::time_point t0) {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
   Rank& r = ranks_[static_cast<Size>(rank)];
-  KernelProfiler& prof = rank_profiles_[static_cast<Size>(rank)];
+  KernelProfiler& prof = thread_profiles_[static_cast<Size>(rank)];
   FluidGrid& grid = *r.grid;
-  LBMIB_RACE_CHECK(race::context("distributed 2d solver");)
   const Index lnx = r.tile.x_hi - r.tile.x_lo;
   const Index lny = r.tile.y_hi - r.tile.y_lo;
   const Size row = static_cast<Size>(lny + 2) *
@@ -428,15 +415,13 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
     return std::pair<Size, Size>{begin, end};
   };
 
-  ProgressBoard& board = ProgressBoard::global();
   for (Index step = 0; step < num_steps; ++step) {
     LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
                      static_cast<std::int64_t>(step));
     cancel_point("distributed2d:step");
-    board.beat("distributed2d:step:start");
+    sync_point("distributed2d:step:start", rank, step);
     {  // kernels 1-4 on the replica, spread into own tile only
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "fiber_forces_spread");
-      auto t0 = Clock::now();
+      KernelScope scope(prof, Phase::kFiberForcesSpread);
       for (FiberSheet& sheet : r.structure) {
         compute_bending_force(sheet, 0, sheet.num_fibers());
         compute_stretching_force(sheet, 0, sheet.num_fibers());
@@ -444,7 +429,6 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
       }
       grid.reset_forces(params_.body_force);
       spread_forces_local(r);
-      prof.add(Kernel::kSpreadForce, since(t0));
     }
     if (params_.fused_step) {
       // Kernels 5+6 as one pass over the real tile (x/y pushes land in
@@ -452,27 +436,12 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
       // the reference stream_x_slab over the tile); the halo exchange
       // then ships the freshly-pushed crossing populations as in the
       // reference pipeline.
-      {
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "collide_stream");
-        auto t0 = Clock::now();
-        fused_collide_stream_tile(grid, params_.tau, mrt_.get(), 1, lnx, 1,
-                                  lny, params_.simd_step);
-        prof.add(Kernel::kCollision, since(t0));
-      }
-      {
-        auto t0 = Clock::now();
-        board.beat("distributed2d:halo");
-        if (chaos::enabled()) {
-          chaos::sync_point("distributed2d:halo", rank, step);
-        }
-        exchange_halos(rank);
-        prof.add(Kernel::kStreaming, since(t0));
-      }
+      KernelScope scope(prof, Phase::kCollideStream);
+      fused_collide_stream_tile(grid, params_.tau, mrt_.get(), 1, lnx, 1,
+                                lny, params_.simd_step);
     } else {
       {  // kernel 5
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                         kernel_short_name(Kernel::kCollision));
-        auto t0 = Clock::now();
+        KernelScope scope(prof, Phase::kCollide);
         for (Index lx = 1; lx <= lnx; ++lx) {
           const auto [begin, end] = row_range(lx);
           if (mrt_) {
@@ -481,25 +450,19 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
             collide_range(grid, params_.tau, begin, end);
           }
         }
-        prof.add(Kernel::kCollision, since(t0));
       }
-      {  // kernel 6 + the 8-message halo exchange
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                         kernel_short_name(Kernel::kStreaming));
-        auto t0 = Clock::now();
-        stream_x_slab(grid, 1, lnx + 1, 1, lny + 1);
-        board.beat("distributed2d:halo");
-        if (chaos::enabled()) {
-          chaos::sync_point("distributed2d:halo", rank, step);
-        }
-        exchange_halos(rank);
-        prof.add(Kernel::kStreaming, since(t0));
-      }
+      KernelScope scope(prof, Phase::kStream);  // kernel 6
+      stream_x_slab(grid, 1, lnx + 1, 1, lny + 1);
+    }
+    // The 8-message halo exchange; its row bills kernel 6 as well.
+    sync_point("distributed2d:halo", rank, step);
+    {
+      KernelScope scope(prof, Phase::kExchangeHalos,
+                        static_cast<std::int64_t>(rank));
+      exchange_halos(rank);
     }
     {  // kernel 7 (+ boundary pass)
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kUpdateVelocity));
-      auto t0 = Clock::now();
+      KernelScope scope(prof, Phase::kUpdateVelocity);
       if (uses_inlet_outlet(params_.boundary)) {
         apply_inlet_outlet_local(r, rank);
       }
@@ -507,28 +470,18 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
         const auto [begin, end] = row_range(lx);
         update_velocity_range(grid, begin, end);
       }
-      prof.add(Kernel::kUpdateVelocity, since(t0));
     }
     {  // kernel 8
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kMoveFibers));
-      auto t0 = Clock::now();
-      board.beat("distributed2d:allreduce");
-      if (chaos::enabled()) {
-        chaos::sync_point("distributed2d:allreduce", rank, step);
-      }
+      KernelScope scope(prof, Phase::kMoveFibers);
+      sync_point("distributed2d:allreduce", rank, step);
       move_fibers_allreduce(r, rank);
-      prof.add(Kernel::kMoveFibers, since(t0));
     }
     {  // kernel 9: per-rank O(1) swap when fused. The ghost layers' df
        // goes stale under the swap, but ghost df is never read —
        // collision touches only real nodes and the halo exchange reads
        // df_new.
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       params_.fused_step
-                           ? "swap_df"
-                           : kernel_short_name(Kernel::kCopyDistribution));
-      auto t0 = Clock::now();
+      KernelScope scope(prof, params_.fused_step ? Phase::kSwapDf
+                                                 : Phase::kCopyDf);
       if (params_.fused_step) {
         grid.swap_buffers();
       } else {
@@ -537,11 +490,9 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
           copy_distributions_range(grid, begin, end);
         }
       }
-      prof.add(Kernel::kCopyDistribution, since(t0));
     }
 
-    board.beat("distributed2d:barrier:step-end");
-    barrier_.arrive_and_wait();
+    sync_point("distributed2d:barrier:step-end", rank, step, barrier_);
     if (rank == 0) ++steps_completed_;
     if (observer && ((step + 1) % observer_interval == 0)) {
       if (rank == 0) {
@@ -561,15 +512,7 @@ void Distributed2DSolver::run_loop(Index num_steps,
     rank_entry(rank, num_steps, observer, observer_interval);
   });
   structure_ = ranks_[0].structure;
-  KernelProfiler merged;
-  for (int k = 0; k < kNumKernels; ++k) {
-    double max_time = 0.0;
-    for (const KernelProfiler& p : rank_profiles_) {
-      max_time = std::max(max_time, p.seconds(static_cast<Kernel>(k)));
-    }
-    merged.add(static_cast<Kernel>(k), max_time);
-  }
-  profiler_ = merged;
+  merge_thread_profiles();
 }
 
 void Distributed2DSolver::step() { run_loop(1, nullptr, 1); }

@@ -68,10 +68,6 @@ class Distributed2DSolver final : public Solver {
     return mesh_ == Mesh::kSlabs ? "distributed" : "distributed2d";
   }
 
-  std::vector<KernelProfiler> per_thread_profiles() const override {
-    return rank_profiles_;
-  }
-
   int ranks_x() const { return rx_; }
   int ranks_y() const { return ry_; }
 
@@ -109,7 +105,6 @@ class Distributed2DSolver final : public Solver {
   std::vector<Rank> ranks_;
   Communicator comm_;
   BlockingBarrier barrier_;
-  std::vector<KernelProfiler> rank_profiles_;
 };
 
 }  // namespace lbmib

@@ -2,9 +2,7 @@
 
 #include <omp.h>
 
-#include <algorithm>
-
-#include "common/timer.hpp"
+#include "core/instrument.hpp"
 #include "ib/fiber_forces.hpp"
 #include "ib/interpolation.hpp"
 #include "ib/spreading.hpp"
@@ -14,17 +12,11 @@
 #include "lbm/mrt.hpp"
 #include "lbm/macroscopic.hpp"
 #include "lbm/streaming.hpp"
-#include "obs/trace.hpp"
-#include "parallel/cancel.hpp"
-#include "parallel/chaos.hpp"
-#include "parallel/race_detector.hpp"
 
 namespace lbmib {
 
 OpenMPSolver::OpenMPSolver(const SimulationParams& params)
-    : Solver(params),
-      grid_(params),
-      thread_profiles_(static_cast<Size>(params.num_threads)) {}
+    : Solver(params), grid_(params) {}
 
 namespace {
 
@@ -47,29 +39,11 @@ void OpenMPSolver::step() {
   // so the watchdog still detects and reports the hang; the unwind
   // happens here once the region would have ended. See DESIGN.md §14.
   cancel_point("openmp:step");
-  ProgressBoard::global().beat("openmp:step");
-  if (chaos::enabled()) {
-    chaos::sync_point("openmp:step", 0, steps_completed_);
-  }
+  sync_point("openmp:step", 0, steps_completed_);
   const int nthreads = params_.num_threads;
   const Index nx = grid_.nx();
   const Size plane = static_cast<Size>(grid_.ny()) *
                      static_cast<Size>(grid_.nz());
-
-  // Reset forces before spreading (part of kernel 4's cost, like the
-  // sequential program).
-  // span_name overrides the trace label where the profiler bucket and
-  // the phase diverge (the fused sweep bills to kCollision but traces
-  // as "collide_stream", matching the other solvers).
-  auto timed = [&](int tid, Kernel k, auto&& work,
-                   [[maybe_unused]] const char* span_name = nullptr) {
-    LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                     span_name != nullptr ? span_name
-                                          : kernel_short_name(k));
-    WallTimer timer;
-    work();
-    thread_profiles_[static_cast<Size>(tid)].add(k, timer.seconds());
-  };
 
 #if LBMIB_RACE_DETECT_ENABLED
   // OpenMP's pool is opaque to the detector, so model the parallel
@@ -97,6 +71,7 @@ void OpenMPSolver::step() {
 #pragma omp parallel num_threads(nthreads)
   {
     const int tid = omp_get_thread_num();
+    KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
     // Per-thread step span: one bar per thread per step in the trace
     // timeline (OpenMP's worker threads get tracer tids on first span).
     LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
@@ -123,30 +98,35 @@ void OpenMPSolver::step() {
     };
 
     // --- IB related (Algorithm 3 style fiber partitioning) ---
-    timed(tid, Kernel::kBendingForce, [&] {
+    {
+      KernelScope scope(prof, Phase::kBending);
       for (FiberSheet& sheet : structure_) {
         const Range r = my_fibers(sheet);
         compute_bending_force(sheet, r.begin, r.end);
       }
-    });
+    }
     team_barrier();
-    timed(tid, Kernel::kStretchingForce, [&] {
+    {
+      KernelScope scope(prof, Phase::kStretching);
       for (FiberSheet& sheet : structure_) {
         const Range r = my_fibers(sheet);
         compute_stretching_force(sheet, r.begin, r.end);
       }
-    });
+    }
     team_barrier();
-    timed(tid, Kernel::kElasticForce, [&] {
+    {
+      KernelScope scope(prof, Phase::kElastic);
       for (FiberSheet& sheet : structure_) {
         const Range r = my_fibers(sheet);
         compute_elastic_force(sheet, r.begin, r.end);
       }
-    });
+    }
     team_barrier();
-    timed(tid, Kernel::kSpreadForce, [&] {
-      // Reset this thread's slab of the force field, then spread this
-      // thread's fibers with atomic accumulation.
+    {
+      // Reset this thread's slab of the force field (part of kernel 4's
+      // cost, like the sequential program), then spread this thread's
+      // fibers with atomic accumulation.
+      KernelScope scope(prof, Phase::kSpread);
       for (Size node = node_begin; node < node_end; ++node) {
         grid_.fx(node) = params_.body_force.x;
         grid_.fy(node) = params_.body_force.y;
@@ -161,7 +141,7 @@ void OpenMPSolver::step() {
         const Range r = my_fibers(sheet);
         spread_force_atomic(sheet, grid_, r.begin, r.end);
       }
-    });
+    }
     team_barrier();
 
     // --- LBM related (Algorithm 2 style x-slab partitioning) ---
@@ -172,47 +152,46 @@ void OpenMPSolver::step() {
     // (The conditional barriers are legal: fused_step is uniform across
     // the team.)
     if (params_.fused_step) {
-      timed(
-          tid, Kernel::kCollision,
-          [&] {
-            fused_collide_stream_x_slab(grid_, params_.tau, mrt_.get(),
-                                        slabs.begin, slabs.end,
-                                        params_.simd_step, params_.tile_y);
-          },
-          "collide_stream");
+      KernelScope scope(prof, Phase::kCollideStream);
+      fused_collide_stream_x_slab(grid_, params_.tau, mrt_.get(),
+                                  slabs.begin, slabs.end, params_.simd_step,
+                                  params_.tile_y);
     } else {
-      timed(tid, Kernel::kCollision, [&] {
+      {
+        KernelScope scope(prof, Phase::kCollide);
         if (mrt_) {
           mrt_collide_range(grid_, *mrt_, node_begin, node_end);
         } else {
           collide_range(grid_, params_.tau, node_begin, node_end);
         }
-      });
+      }
       team_barrier();
-      timed(tid, Kernel::kStreaming,
-            [&] { stream_x_slab(grid_, slabs.begin, slabs.end); });
+      KernelScope scope(prof, Phase::kStream);
+      stream_x_slab(grid_, slabs.begin, slabs.end);
     }
     team_barrier();
 
     // --- FSI coupling related ---
-    timed(tid, Kernel::kUpdateVelocity, [&] {
+    {
+      KernelScope scope(prof, Phase::kUpdateVelocity);
       if (uses_inlet_outlet(params_.boundary)) {
         apply_inlet_outlet(grid_, params_.inlet_velocity, slabs.begin,
                            slabs.end);
       }
       update_velocity_range(grid_, node_begin, node_end);
-    });
+    }
     team_barrier();
-    timed(tid, Kernel::kMoveFibers, [&] {
+    {
+      KernelScope scope(prof, Phase::kMoveFibers);
       for (FiberSheet& sheet : structure_) {
         const Range r = my_fibers(sheet);
         move_fibers(sheet, grid_, r.begin, r.end);
       }
-    });
+    }
     team_barrier();
     if (!params_.fused_step) {
-      timed(tid, Kernel::kCopyDistribution,
-            [&] { copy_distributions_range(grid_, node_begin, node_end); });
+      KernelScope scope(prof, Phase::kCopyDf);
+      copy_distributions_range(grid_, node_begin, node_end);
     }
   }
 
@@ -224,26 +203,11 @@ void OpenMPSolver::step() {
     // Kernel 9 as an O(1) swap, after the parallel region's implicit
     // barrier has published every thread's df_new writes. Charged to
     // thread 0's profile so the merge below still reports it.
-    LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "swap_df");
-    WallTimer timer;
+    KernelScope scope(thread_profiles_.front(), Phase::kSwapDf);
     grid_.swap_buffers();
-    thread_profiles_[0].add(Kernel::kCopyDistribution, timer.seconds());
   }
 
-  // Merge per-thread time into the aggregate profiler: charge the
-  // slowest thread per kernel (wall time of the parallel region).
-  for (int k = 0; k < kNumKernels; ++k) {
-    double max_time = 0.0;
-    for (int t = 0; t < nthreads; ++t) {
-      max_time = std::max(
-          max_time, thread_profiles_[static_cast<Size>(t)].seconds(
-                        static_cast<Kernel>(k)));
-    }
-    profiler_.add(static_cast<Kernel>(k),
-                  max_time - profiler_merge_mark_[static_cast<Size>(k)]);
-    profiler_merge_mark_[static_cast<Size>(k)] = max_time;
-  }
-
+  merge_thread_profiles();
   ++steps_completed_;
 }
 

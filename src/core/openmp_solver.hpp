@@ -10,8 +10,6 @@
 // imbalance (max-avg)/max can be computed from per_thread_profiles().
 #pragma once
 
-#include <array>
-
 #include "core/solver.hpp"
 
 namespace lbmib {
@@ -25,10 +23,6 @@ class OpenMPSolver final : public Solver {
   const FluidGrid* planar_fluid() const override { return &grid_; }
   std::string name() const override { return "openmp"; }
 
-  std::vector<KernelProfiler> per_thread_profiles() const override {
-    return thread_profiles_;
-  }
-
   FluidGrid& fluid() { return grid_; }
   const FluidGrid& fluid() const { return grid_; }
 
@@ -38,10 +32,6 @@ class OpenMPSolver final : public Solver {
   }
 
   FluidGrid grid_;
-  std::vector<KernelProfiler> thread_profiles_;
-  // Cumulative per-kernel max-over-threads time already merged into the
-  // aggregate profiler (thread profiles are cumulative across steps).
-  std::array<double, kNumKernels> profiler_merge_mark_{};
 };
 
 }  // namespace lbmib

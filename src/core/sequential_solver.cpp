@@ -1,5 +1,6 @@
 #include "core/sequential_solver.hpp"
 
+#include "core/instrument.hpp"
 #include "ib/fiber_forces.hpp"
 #include "ib/interpolation.hpp"
 #include "ib/spreading.hpp"
@@ -9,57 +10,46 @@
 #include "lbm/mrt.hpp"
 #include "lbm/macroscopic.hpp"
 #include "lbm/streaming.hpp"
-#include "obs/trace.hpp"
-#include "parallel/cancel.hpp"
-#include "parallel/chaos.hpp"
 
 namespace lbmib {
 
 SequentialSolver::SequentialSolver(const SimulationParams& params)
-    : Solver(params), grid_(params) {}
+    : Solver(params), grid_(params) {
+  thread_profiles_.resize(1);  // one stepping thread, whatever num_threads
+}
 
 void SequentialSolver::step() {
   // Step boundary = the sequential solver's only cancellation point and
   // heartbeat (kernels are short; a hung *sequential* step means a hung
   // kernel, which the last-beat label narrows to this step).
   cancel_point("sequential:step");
-  ProgressBoard::global().beat("sequential:step");
-  if (chaos::enabled()) {
-    chaos::sync_point("sequential:step", 0, steps_completed_);
-  }
+  sync_point("sequential:step", 0, steps_completed_);
+  KernelProfiler& prof = thread_profiles_.front();
   const Size n = grid_.num_nodes();
   LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
                    static_cast<std::int64_t>(steps_completed_));
 
   // --- IB related (kernels 1-4 over every sheet of the structure) ---
   {
-    KernelProfiler::Scope scope(profiler_, Kernel::kBendingForce);
-    LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                     kernel_short_name(Kernel::kBendingForce));
+    KernelScope scope(prof, Phase::kBending);
     for (FiberSheet& sheet : structure_) {
       compute_bending_force(sheet, 0, sheet.num_fibers());
     }
   }
   {
-    KernelProfiler::Scope scope(profiler_, Kernel::kStretchingForce);
-    LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                     kernel_short_name(Kernel::kStretchingForce));
+    KernelScope scope(prof, Phase::kStretching);
     for (FiberSheet& sheet : structure_) {
       compute_stretching_force(sheet, 0, sheet.num_fibers());
     }
   }
   {
-    KernelProfiler::Scope scope(profiler_, Kernel::kElasticForce);
-    LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                     kernel_short_name(Kernel::kElasticForce));
+    KernelScope scope(prof, Phase::kElastic);
     for (FiberSheet& sheet : structure_) {
       compute_elastic_force(sheet, 0, sheet.num_fibers());
     }
   }
   {
-    KernelProfiler::Scope scope(profiler_, Kernel::kSpreadForce);
-    LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                     kernel_short_name(Kernel::kSpreadForce));
+    KernelScope scope(prof, Phase::kSpread);
     grid_.reset_forces(params_.body_force);
     for (const FiberSheet& sheet : structure_) {
       spread_force(sheet, grid_, 0, sheet.num_fibers());
@@ -68,18 +58,15 @@ void SequentialSolver::step() {
 
   // --- LBM related ---
   if (params_.fused_step) {
-    // Kernels 5+6 in one pass; the whole fused sweep is accounted to the
-    // collision scope (there is no separate streaming traversal to time).
-    KernelProfiler::Scope scope(profiler_, Kernel::kCollision);
-    LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "collide_stream");
+    // Kernels 5+6 in one pass; the collide_stream row bills kernel 5
+    // (there is no separate streaming traversal to time).
+    KernelScope scope(prof, Phase::kCollideStream);
     fused_collide_stream_x_slab(grid_, params_.tau, mrt_.get(), 0,
                                 grid_.nx(), params_.simd_step,
                                 params_.tile_y);
   } else {
     {
-      KernelProfiler::Scope scope(profiler_, Kernel::kCollision);
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kCollision));
+      KernelScope scope(prof, Phase::kCollide);
       if (mrt_) {
         mrt_collide_range(grid_, *mrt_, 0, n);
       } else {
@@ -87,40 +74,31 @@ void SequentialSolver::step() {
       }
     }
     {
-      KernelProfiler::Scope scope(profiler_, Kernel::kStreaming);
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kStreaming));
+      KernelScope scope(prof, Phase::kStream);
       stream_x_slab(grid_, 0, grid_.nx());
     }
   }
 
   // --- FSI coupling related ---
   {
-    KernelProfiler::Scope scope(profiler_, Kernel::kUpdateVelocity);
-    LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                     kernel_short_name(Kernel::kUpdateVelocity));
+    KernelScope scope(prof, Phase::kUpdateVelocity);
     if (uses_inlet_outlet(params_.boundary)) {
       apply_inlet_outlet(grid_, params_.inlet_velocity, 0, grid_.nx());
     }
     update_velocity_range(grid_, 0, n);
   }
   {
-    KernelProfiler::Scope scope(profiler_, Kernel::kMoveFibers);
-    LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                     kernel_short_name(Kernel::kMoveFibers));
+    KernelScope scope(prof, Phase::kMoveFibers);
     for (FiberSheet& sheet : structure_) {
       move_fibers(sheet, grid_, 0, sheet.num_fibers());
     }
   }
   {
     // Kernel 9: O(1) swap under the fused pipeline, 19-plane copy under
-    // the reference pipeline — either way it lands in the same profiler
-    // bucket, so Table 1 reports how much of the step "kernel 9" costs.
-    KernelProfiler::Scope scope(profiler_, Kernel::kCopyDistribution);
-    LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                     params_.fused_step
-                         ? "swap_df"
-                         : kernel_short_name(Kernel::kCopyDistribution));
+    // the reference pipeline — both rows bill kernel 9, so Table 1
+    // reports how much of the step "kernel 9" costs.
+    KernelScope scope(prof,
+                      params_.fused_step ? Phase::kSwapDf : Phase::kCopyDf);
     if (params_.fused_step) {
       grid_.swap_buffers();
     } else {
@@ -129,6 +107,7 @@ void SequentialSolver::step() {
   }
 
   ++steps_completed_;
+  merge_thread_profiles();
 }
 
 void SequentialSolver::snapshot_fluid(FluidGrid& out) const {

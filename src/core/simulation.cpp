@@ -176,38 +176,6 @@ bool Simulation::enable_perf_counters() {
   return obs::PerfCounters::start();
 }
 
-namespace {
-
-/// Profiler bucket -> the span name counters accumulate under, plus
-/// whether the kernel sweeps lattice nodes or fiber points. The fused
-/// pipeline folds streaming into the collision bucket and reduces the
-/// copy bucket to an O(1) swap (no traffic model entry, so it drops
-/// out of the roofline), mirroring sequential_solver.cpp.
-const char* roofline_span_name(Kernel k, bool fused) {
-  switch (k) {
-    case Kernel::kCollision:
-      return fused ? "collide_stream" : "collide";
-    case Kernel::kCopyDistribution:
-      return fused ? "swap_df" : "copy_df";
-    default:
-      return kernel_short_name(k);
-  }
-}
-
-bool is_node_kernel(Kernel k) {
-  switch (k) {
-    case Kernel::kCollision:
-    case Kernel::kStreaming:
-    case Kernel::kUpdateVelocity:
-    case Kernel::kCopyDistribution:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 perfmodel::RooflineReport Simulation::roofline_report() const {
   const SimulationParams& p = solver_->params();
   const double steps = static_cast<double>(solver_->steps_completed());
@@ -219,56 +187,43 @@ perfmodel::RooflineReport Simulation::roofline_report() const {
     points += static_cast<double>(sheet.num_nodes());
   }
 
-  // Seconds of the critical (slowest) thread per kernel: roofline
-  // achieved-GB/s is per-socket traffic over the wall time the kernel
-  // actually gated, and the per-thread max is that wall time under the
-  // barrier-synchronized pipelines.
+  // One measurement per modeled phase-table row, with the critical
+  // (slowest) thread's seconds: achieved GB/s is traffic over the wall
+  // time the phase gated, which under the barrier-synchronized
+  // pipelines is the per-thread max.
   const std::vector<KernelProfiler> per_thread =
       solver_->per_thread_profiles();
   std::vector<perfmodel::KernelMeasurement> ms;
-  for (int k = 0; k < kNumKernels; ++k) {
-    const Kernel kernel = static_cast<Kernel>(k);
-    double max_s = 0.0;
-    for (const KernelProfiler& prof : per_thread) {
-      max_s = std::max(max_s, prof.seconds(kernel));
-    }
-    if (max_s <= 0.0) max_s = solver_->profiler().seconds(kernel);
+  for (int r = 0; r < kNumPhases; ++r) {
+    const Phase phase = static_cast<Phase>(r);
+    const perfmodel::KernelTraffic* traffic =
+        perfmodel::kernel_traffic(phase_name(phase));
+    if (traffic == nullptr) continue;
     perfmodel::KernelMeasurement m;
-    m.name = roofline_span_name(kernel, p.fused_step);
-    m.seconds = max_s;
-    m.units = (is_node_kernel(kernel) ? nodes : points) * steps;
+    m.name = phase_name(phase);
+    for (const KernelProfiler& prof : per_thread) {
+      m.seconds = std::max(m.seconds, prof.seconds(phase));
+    }
+    m.units = (std::string_view("node") == traffic->unit ? nodes : points) *
+              steps;
     ms.push_back(std::move(m));
   }
 
-  // Join the hardware-counter sums recorded under the same span names.
-  // The dataflow pipeline records under task names the profiler table
-  // does not carry, so append any counter rows the map above missed.
+  // Join the hardware-counter sums recorded under the same names.
   for (const obs::KernelCounters& kc : obs::PerfCounters::snapshot()) {
-    perfmodel::KernelMeasurement* row = nullptr;
-    for (perfmodel::KernelMeasurement& m : ms) {
-      if (m.name == kc.name) {
-        row = &m;
-        break;
-      }
-    }
-    if (row == nullptr) {
-      // Span names without a profiler bucket (the dataflow task spans,
-      // the distributed solvers' fused fiber pass). Only modeled names
-      // can be classified, and the traffic table's unit tells whether
-      // the span family sweeps the grid or the structure once per step.
-      const perfmodel::KernelTraffic* traffic =
-          perfmodel::kernel_traffic(kc.name);
-      if (traffic == nullptr) continue;
-      perfmodel::KernelMeasurement extra;
-      extra.name = kc.name;
-      extra.seconds =
+    const auto row =
+        std::find_if(ms.begin(), ms.end(),
+                     [&](const perfmodel::KernelMeasurement& m) {
+                       return m.name == kc.name;
+                     });
+    if (row == ms.end()) continue;
+    // A span that bills other rows (the cube reference pipeline's
+    // collide_stream bills collide and stream per cube) takes its
+    // seconds from the CPU time its counters saw.
+    if (row->seconds <= 0.0) {
+      row->seconds =
           kc.value[static_cast<int>(obs::PerfEvent::kTaskClock)] / 1e9;
-      extra.units =
-          (std::string("node") == traffic->unit ? nodes : points) * steps;
-      ms.push_back(std::move(extra));
-      row = &ms.back();
     }
-    row->spans = kc.spans;
     row->has_counters = true;
     row->cycles = kc.cycles();
     row->instructions = kc.instructions();
@@ -278,15 +233,21 @@ perfmodel::RooflineReport Simulation::roofline_report() const {
         kc.value[static_cast<int>(obs::PerfEvent::kLlcMisses)];
     row->stalled_backend =
         kc.value[static_cast<int>(obs::PerfEvent::kStalledBackend)];
-    row->dtlb_misses =
-        kc.value[static_cast<int>(obs::PerfEvent::kDtlbMisses)];
   }
 
   static const perfmodel::MachinePeaks peaks = [&] {
     return perfmodel::measure_machine_peaks(p.num_threads);
   }();
-  perfmodel::RooflineReport report = perfmodel::build_roofline(ms, peaks);
-  report.availability = obs::PerfCounters::availability().to_string();
+  const obs::PerfAvailability& availability =
+      obs::PerfCounters::availability();
+  perfmodel::EventAvailability events;
+  for (int e = 0; e < obs::kNumPerfEvents; ++e) {
+    events.emplace_back(obs::perf_event_name(static_cast<obs::PerfEvent>(e)),
+                        availability.event[static_cast<Size>(e)]);
+  }
+  perfmodel::RooflineReport report =
+      perfmodel::build_roofline(ms, peaks, events);
+  report.availability = availability.to_string();
   return report;
 }
 

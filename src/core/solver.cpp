@@ -1,5 +1,7 @@
 #include "core/solver.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "core/cube_solver.hpp"
 #include "core/dataflow_solver.hpp"
@@ -12,6 +14,7 @@ namespace lbmib {
 
 Solver::Solver(const SimulationParams& params) : params_(params) {
   params_.validate();
+  thread_profiles_.resize(static_cast<Size>(params_.num_threads));
   structure_ = make_structure(params_);
   if (params_.collision == CollisionModel::kMRT) {
     mrt_ = std::make_unique<MrtOperator>(
@@ -50,6 +53,19 @@ void Solver::run(Index num_steps, const StepObserver& observer,
     if (observer && (steps_completed_ % observer_interval == 0)) {
       observer(*this, steps_completed_ - 1);
     }
+  }
+}
+
+void Solver::merge_thread_profiles() {
+  for (int r = 0; r < kNumPhases; ++r) {
+    const Phase phase = static_cast<Phase>(r);
+    double slowest = 0.0;
+    for (const KernelProfiler& p : thread_profiles_) {
+      slowest = std::max(slowest, p.seconds(phase));
+    }
+    const double fresh = slowest - merged_.seconds(phase);
+    profiler_.add(phase, fresh);
+    merged_.add(phase, fresh);
   }
 }
 

@@ -79,10 +79,10 @@ class Solver {
   const KernelProfiler& profiler() const { return profiler_; }
   KernelProfiler& profiler() { return profiler_; }
 
-  /// Per-thread per-kernel times for load-imbalance analysis; planar
-  /// sequential returns a single entry.
-  virtual std::vector<KernelProfiler> per_thread_profiles() const {
-    return {profiler_};
+  /// Per-thread per-kernel times for load-imbalance analysis, one entry
+  /// per thread, cumulative (profiler().clear() does not reset them).
+  std::vector<KernelProfiler> per_thread_profiles() const {
+    return thread_profiles_;
   }
 
  protected:
@@ -90,12 +90,23 @@ class Solver {
   /// needed). Called by restore_state after the structure is in place.
   virtual void restore_fluid(const FluidGrid& fluid) = 0;
 
+  /// Fold thread_profiles_ into profiler_: per phase row, the slowest
+  /// thread's time since the previous merge.
+  void merge_thread_profiles();
+
   SimulationParams params_;
   Structure structure_;  ///< never empty; [0] is the primary sheet
   /// Non-null iff params.collision == kMRT; shared by all kernel phases.
   std::unique_ptr<MrtOperator> mrt_;
   KernelProfiler profiler_;
+  /// One per thread (num_threads entries; the sequential solver keeps
+  /// one); solvers time into these.
+  std::vector<KernelProfiler> thread_profiles_;
   Index steps_completed_ = 0;
+
+ private:
+  /// Per-row slowest-thread seconds already folded into profiler_.
+  KernelProfiler merged_;
 };
 
 /// Which solver implementation to instantiate. kDataflow is the

@@ -94,23 +94,10 @@ struct KernelCounters {
   double instructions() const {
     return value[static_cast<int>(PerfEvent::kInstructions)];
   }
-  /// Instructions per cycle; 0 when either event is unavailable.
+  /// Instructions per cycle; 0 when either event is unavailable. The
+  /// roofline derives its own counter columns (perfmodel/roofline.hpp).
   double ipc() const {
     return cycles() > 0.0 ? instructions() / cycles() : 0.0;
-  }
-  /// LLC miss fraction of LLC references; 0 when unavailable.
-  double llc_miss_rate() const {
-    const double refs = value[static_cast<int>(PerfEvent::kLlcReferences)];
-    return refs > 0.0
-               ? value[static_cast<int>(PerfEvent::kLlcMisses)] / refs
-               : 0.0;
-  }
-  /// Fraction of cycles stalled in the backend; 0 when unavailable.
-  double stalled_backend_frac() const {
-    const double c = cycles();
-    return c > 0.0
-               ? value[static_cast<int>(PerfEvent::kStalledBackend)] / c
-               : 0.0;
   }
 };
 

@@ -167,9 +167,23 @@ MachinePeaks measure_machine_peaks(int threads) {
 }
 
 RooflineReport build_roofline(const std::vector<KernelMeasurement>& ms,
-                              const MachinePeaks& peaks) {
+                              const MachinePeaks& peaks,
+                              const EventAvailability& events) {
   RooflineReport report;
   report.peaks = peaks;
+  report.events = events;
+  auto granted = [&events](const char* event) {
+    return std::find(events.begin(), events.end(),
+                     std::pair<std::string, bool>{event, true}) !=
+           events.end();
+  };
+  // Each counter column is measured only when every event it derives
+  // from was granted; otherwise it stays empty (null in the JSON).
+  const bool cycles = granted("cycles");
+  const bool llc_misses = granted("llc_misses");
+  const bool ipc = cycles && granted("instructions");
+  const bool miss_rate = llc_misses && granted("llc_references");
+  const bool stalled = cycles && granted("stalled_backend");
   const double balance = peaks.balance();
   for (const KernelMeasurement& m : ms) {
     const KernelTraffic* traffic = kernel_traffic(m.name);
@@ -200,14 +214,20 @@ RooflineReport build_roofline(const std::vector<KernelMeasurement>& ms,
     }
     row.has_counters = m.has_counters;
     if (m.has_counters) {
-      report.counters_available = true;
-      if (m.cycles > 0.0) row.ipc = m.instructions / m.cycles;
-      if (m.llc_references > 0.0) {
-        row.llc_miss_rate = m.llc_misses / m.llc_references;
+      auto ratio = [](double num, double den) {
+        return den > 0.0 ? num / den : 0.0;
+      };
+      if (ipc) row.ipc = ratio(m.instructions, m.cycles);
+      if (miss_rate) {
+        row.llc_miss_rate = ratio(m.llc_misses, m.llc_references);
       }
-      row.llc_miss_per_unit = m.llc_misses / m.units;
-      row.measured_gbps = m.llc_misses * 64.0 / m.seconds / 1e9;
-      if (m.cycles > 0.0) row.stalled_frac = m.stalled_backend / m.cycles;
+      if (llc_misses) {
+        row.llc_miss_per_unit = m.llc_misses / m.units;
+        row.measured_gbps = m.llc_misses * 64.0 / m.seconds / 1e9;
+      }
+      if (stalled) row.stalled_frac = ratio(m.stalled_backend, m.cycles);
+      // Only hardware events fill a column; task-clock alone does not.
+      report.counters_available |= ipc || llc_misses || stalled;
     }
     report.rows.push_back(std::move(row));
   }
@@ -242,25 +262,25 @@ std::string RooflineReport::to_string() const {
         r.kernel.c_str(), r.seconds, r.ai, r.model_gbytes, r.achieved_gbps,
         r.roof_fraction * 100.0,
         r.bandwidth_bound ? "bandwidth" : "compute",
-        r.has_counters && r.ipc > 0.0 ? format_g(r.ipc, 2).c_str() : "-");
+        r.ipc.value_or(0.0) > 0.0 ? format_g(*r.ipc, 2).c_str() : "-");
     os << line << "\n";
   }
   std::string detail;
   for (const RooflineRow& r : rows) {
     if (!r.has_counters) continue;
     std::string cols;
-    if (r.ipc > 0.0) cols += "ipc=" + format_g(r.ipc, 2) + " ";
-    if (r.llc_miss_rate > 0.0) {
-      cols += "llc-miss-rate=" + format_g(r.llc_miss_rate * 100.0, 1) +
+    if (r.ipc.value_or(0.0) > 0.0) cols += "ipc=" + format_g(*r.ipc, 2) + " ";
+    if (r.llc_miss_rate.value_or(0.0) > 0.0) {
+      cols += "llc-miss-rate=" + format_g(*r.llc_miss_rate * 100.0, 1) +
               "% ";
     }
-    if (r.llc_miss_per_unit > 0.0) {
+    if (r.llc_miss_per_unit.value_or(0.0) > 0.0) {
       cols += "llc-miss/" + std::string(r.unit) + "=" +
-              format_g(r.llc_miss_per_unit, 2) + " ";
-      cols += "measured=" + format_g(r.measured_gbps, 2) + " GB/s ";
+              format_g(*r.llc_miss_per_unit, 2) + " ";
+      cols += "measured=" + format_g(*r.measured_gbps, 2) + " GB/s ";
     }
-    if (r.stalled_frac > 0.0) {
-      cols += "backend-stall=" + format_g(r.stalled_frac * 100.0, 1) + "%";
+    if (r.stalled_frac.value_or(0.0) > 0.0) {
+      cols += "backend-stall=" + format_g(*r.stalled_frac * 100.0, 1) + "%";
     }
     if (!cols.empty()) detail += "  " + r.kernel + ": " + cols + "\n";
   }
@@ -277,7 +297,12 @@ std::string RooflineReport::json() const {
      << ", \"threads\": " << peaks.threads
      << ", \"balance_flop_per_byte\": " << format_g(peaks.balance(), 4)
      << "},\n  \"counters_available\": "
-     << (counters_available ? "true" : "false") << ",\n  \"kernels\": [";
+     << (counters_available ? "true" : "false") << ",\n  \"events\": {";
+  for (Size i = 0; i < events.size(); ++i) {
+    os << (i == 0 ? "" : ", ") << "\"" << events[i].first
+       << "\": " << (events[i].second ? "true" : "false");
+  }
+  os << "},\n  \"kernels\": [";
   bool first = true;
   for (const RooflineRow& r : rows) {
     os << (first ? "\n" : ",\n");
@@ -292,11 +317,15 @@ std::string RooflineReport::json() const {
        << (r.bandwidth_bound ? "bandwidth" : "compute")
        << "\", \"roof_fraction\": " << format_g(r.roof_fraction, 4);
     if (r.has_counters) {
-      os << ", \"ipc\": " << format_g(r.ipc, 4)
-         << ", \"llc_miss_rate\": " << format_g(r.llc_miss_rate, 6)
-         << ", \"llc_miss_per_unit\": " << format_g(r.llc_miss_per_unit, 4)
-         << ", \"measured_gbps\": " << format_g(r.measured_gbps, 3)
-         << ", \"stalled_backend_frac\": " << format_g(r.stalled_frac, 4);
+      auto column = [&os](const char* key, const std::optional<double>& v,
+                          int prec) {
+        os << ", \"" << key << "\": " << (v ? format_g(*v, prec) : "null");
+      };
+      column("ipc", r.ipc, 4);
+      column("llc_miss_rate", r.llc_miss_rate, 6);
+      column("llc_miss_per_unit", r.llc_miss_per_unit, 4);
+      column("measured_gbps", r.measured_gbps, 3);
+      column("stalled_backend_frac", r.stalled_frac, 4);
     }
     os << "}";
   }

@@ -24,8 +24,9 @@
 // their measurements into KernelMeasurement rows.
 #pragma once
 
-#include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -70,16 +71,16 @@ struct KernelMeasurement {
   std::string name;      ///< span name
   double seconds = 0.0;  ///< busy seconds on the critical thread
   double units = 0.0;    ///< node-steps or point-steps executed
-  std::uint64_t spans = 0;
-  /// Hardware-counter sums (0 and has_counters=false when the host
-  /// grants none — every derived column degrades to "-").
+  /// Counter sums (has_counters=false when no counter session sampled
+  /// the kernel — every derived column degrades to "-"). An event the
+  /// host did not grant reads 0 here; build_roofline's `events` says
+  /// which.
   bool has_counters = false;
   double cycles = 0.0;
   double instructions = 0.0;
   double llc_references = 0.0;
   double llc_misses = 0.0;
   double stalled_backend = 0.0;
-  double dtlb_misses = 0.0;
 };
 
 struct RooflineRow {
@@ -94,31 +95,42 @@ struct RooflineRow {
   double roof_gbps = 0.0;  ///< bandwidth ceiling (= peaks.gbps)
   bool bandwidth_bound = false;
   double roof_fraction = 0.0;  ///< achieved / applicable roof
-  // Counter-derived columns (0 when unavailable).
+  // Counter-derived columns. has_counters: a counter session sampled the
+  // kernel. A column is empty unless every event it derives from was
+  // granted.
   bool has_counters = false;
-  double ipc = 0.0;
-  double llc_miss_rate = 0.0;
-  double llc_miss_per_unit = 0.0;
-  double measured_gbps = 0.0;  ///< LLC misses × 64B / seconds
-  double stalled_frac = 0.0;
+  std::optional<double> ipc;
+  std::optional<double> llc_miss_rate;
+  std::optional<double> llc_miss_per_unit;
+  std::optional<double> measured_gbps;  ///< LLC misses × 64B / seconds
+  std::optional<double> stalled_frac;
 };
+
+/// (perf event name, granted by the host), as the caller probed it.
+using EventAvailability = std::vector<std::pair<std::string, bool>>;
 
 struct RooflineReport {
   MachinePeaks peaks;
+  /// Some row carries a measured counter column: a granted hardware
+  /// event counted.
   bool counters_available = false;
   std::string availability;  ///< human-readable probe summary
+  EventAvailability events;
   std::vector<RooflineRow> rows;
 
   /// Fixed-width table with a per-kernel bound verdict.
   std::string to_string() const;
-  /// JSON object (machine peaks + rows) for BENCH_step.json embedding.
+  /// JSON object (machine peaks, events + rows) for BENCH_step.json
+  /// embedding; an empty counter column is null.
   std::string json() const;
 };
 
 /// Build the report: joins measurements against the traffic model
 /// (rows without a model entry are dropped) and classifies each kernel
-/// against `peaks`. Rows are ordered by descending seconds.
+/// against `peaks`. `events` decides which counter columns are
+/// measured (none when empty). Rows are ordered by descending seconds.
 RooflineReport build_roofline(const std::vector<KernelMeasurement>& ms,
-                              const MachinePeaks& peaks);
+                              const MachinePeaks& peaks,
+                              const EventAvailability& events = {});
 
 }  // namespace lbmib::perfmodel

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "common/profiler.hpp"
@@ -18,9 +20,9 @@ TEST(KernelProfiler, StartsEmpty) {
 
 TEST(KernelProfiler, AddAccumulates) {
   KernelProfiler p;
-  p.add(Kernel::kCollision, 1.0);
-  p.add(Kernel::kCollision, 0.5);
-  p.add(Kernel::kStreaming, 0.25);
+  p.add(Phase::kCollide, 1.0);
+  p.add(Phase::kCollide, 0.5);
+  p.add(Phase::kStream, 0.25);
   EXPECT_DOUBLE_EQ(p.seconds(Kernel::kCollision), 1.5);
   EXPECT_DOUBLE_EQ(p.seconds(Kernel::kStreaming), 0.25);
   EXPECT_DOUBLE_EQ(p.total_seconds(), 1.75);
@@ -29,7 +31,7 @@ TEST(KernelProfiler, AddAccumulates) {
 TEST(KernelProfiler, ScopeMeasuresElapsedTime) {
   KernelProfiler p;
   {
-    KernelProfiler::Scope scope(p, Kernel::kMoveFibers);
+    KernelProfiler::Scope scope(p, Phase::kMoveFibers);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(p.seconds(Kernel::kMoveFibers), 0.009);
@@ -38,9 +40,9 @@ TEST(KernelProfiler, ScopeMeasuresElapsedTime) {
 
 TEST(KernelProfiler, MergeAddsPerKernel) {
   KernelProfiler a, b;
-  a.add(Kernel::kCollision, 1.0);
-  b.add(Kernel::kCollision, 2.0);
-  b.add(Kernel::kSpreadForce, 3.0);
+  a.add(Phase::kCollide, 1.0);
+  b.add(Phase::kCollide, 2.0);
+  b.add(Phase::kSpread, 3.0);
   a += b;
   EXPECT_DOUBLE_EQ(a.seconds(Kernel::kCollision), 3.0);
   EXPECT_DOUBLE_EQ(a.seconds(Kernel::kSpreadForce), 3.0);
@@ -48,9 +50,9 @@ TEST(KernelProfiler, MergeAddsPerKernel) {
 
 TEST(KernelProfiler, RankedRowsSortedDescending) {
   KernelProfiler p;
-  p.add(Kernel::kCollision, 5.0);
-  p.add(Kernel::kUpdateVelocity, 3.0);
-  p.add(Kernel::kCopyDistribution, 1.0);
+  p.add(Phase::kCollide, 5.0);
+  p.add(Phase::kUpdateVelocity, 3.0);
+  p.add(Phase::kCopyDf, 1.0);
   const auto rows = p.ranked_rows();
   ASSERT_EQ(rows.size(), static_cast<Size>(kNumKernels));
   EXPECT_EQ(rows[0].kernel, Kernel::kCollision);
@@ -63,9 +65,9 @@ TEST(KernelProfiler, RankedRowsSortedDescending) {
 
 TEST(KernelProfiler, PercentagesSumToHundred) {
   KernelProfiler p;
-  p.add(Kernel::kCollision, 2.0);
-  p.add(Kernel::kStreaming, 1.0);
-  p.add(Kernel::kCopyDistribution, 1.0);
+  p.add(Phase::kCollide, 2.0);
+  p.add(Phase::kStream, 1.0);
+  p.add(Phase::kCopyDf, 1.0);
   double total = 0.0;
   for (const auto& row : p.ranked_rows()) total += row.percent_of_total;
   EXPECT_NEAR(total, 100.0, 1e-9);
@@ -88,7 +90,7 @@ TEST(KernelProfiler, KernelNamesMatchPaper) {
 
 TEST(KernelProfiler, ReportContainsAllKernels) {
   KernelProfiler p;
-  p.add(Kernel::kCollision, 1.0);
+  p.add(Phase::kCollide, 1.0);
   const std::string report = p.report();
   for (int k = 0; k < kNumKernels; ++k) {
     EXPECT_NE(report.find(std::string(kernel_name(static_cast<Kernel>(k)))),
@@ -96,9 +98,54 @@ TEST(KernelProfiler, ReportContainsAllKernels) {
   }
 }
 
+TEST(KernelProfiler, KernelSecondsSumTheRowsThatBillIt) {
+  KernelProfiler p;
+  p.add(Phase::kCollide, 1.0);
+  p.add(Phase::kCollideStream, 2.0);
+  p.add(Phase::kTaskUpdateCopy, 0.5);
+  p.add(Phase::kStream, 0.25);
+  p.add(Phase::kExchangeHalos, 0.125);
+  EXPECT_DOUBLE_EQ(p.seconds(Phase::kCollideStream), 2.0);
+  EXPECT_DOUBLE_EQ(p.seconds(Kernel::kCollision), 3.5);
+  EXPECT_DOUBLE_EQ(p.seconds(Kernel::kStreaming), 0.375);
+  EXPECT_DOUBLE_EQ(p.total_seconds(), 3.875);
+  // The Table-I report ranks kernels, so the fused rows land in theirs.
+  EXPECT_EQ(p.ranked_rows().front().kernel, Kernel::kCollision);
+  EXPECT_DOUBLE_EQ(p.ranked_rows().front().seconds, 3.5);
+}
+
+TEST(PhaseTable, KernelRowsComeFirstInKernelOrder) {
+  for (int k = 0; k < kNumKernels; ++k) {
+    const Kernel kernel = static_cast<Kernel>(k);
+    EXPECT_EQ(phase_row(static_cast<Phase>(k)).bills, kernel);
+    EXPECT_STREQ(kernel_short_name(kernel),
+                 phase_name(static_cast<Phase>(k)));
+  }
+  EXPECT_STREQ(kernel_short_name(Kernel::kCollision), "collide");
+  EXPECT_STREQ(kernel_short_name(Kernel::kCopyDistribution), "copy_df");
+  // A value past the nine kernels names no phase row.
+  const Kernel past_end = static_cast<Kernel>(kNumKernels);
+  EXPECT_STREQ(kernel_short_name(past_end), "unknown");
+  EXPECT_EQ(kernel_name(past_end), "unknown_kernel");
+}
+
+TEST(PhaseTable, NamesAreUniqueAndRowsBillTheirKernels) {
+  std::set<std::string> names;
+  for (const PhaseRow& row : kPhaseTable) {
+    EXPECT_TRUE(names.insert(row.name).second) << row.name;
+  }
+  EXPECT_EQ(phase_row(Phase::kResetForces).bills,
+            Kernel::kCopyDistribution);
+  EXPECT_EQ(phase_row(Phase::kSwapDf).bills, Kernel::kCopyDistribution);
+  EXPECT_EQ(phase_row(Phase::kTaskUpdateCopy).bills, Kernel::kCollision);
+  EXPECT_EQ(phase_row(Phase::kExchangeHalos).bills, Kernel::kStreaming);
+  EXPECT_EQ(phase_row(Phase::kExchangeHalos).cat, PhaseCat::kHalo);
+  EXPECT_EQ(phase_row(Phase::kTaskCollideStream).cat, PhaseCat::kTask);
+}
+
 TEST(KernelProfiler, ClearResets) {
   KernelProfiler p;
-  p.add(Kernel::kCollision, 1.0);
+  p.add(Phase::kCollide, 1.0);
   p.clear();
   EXPECT_EQ(p.total_seconds(), 0.0);
 }

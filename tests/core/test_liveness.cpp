@@ -6,6 +6,8 @@
 // `concurrency` label, which excludes libgomp).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
 #include <string>
 
 #include "core/fault_injection.hpp"
@@ -231,6 +233,64 @@ TEST(LivenessUserCancel, SimulationRunStopsAtNextCancelPoint) {
   EXPECT_LT(sim.steps_completed(), 1000);
   ProgressBoard::global().clear_retired();
 }
+
+// --- every labelled sync point is a chaos point ------------------------
+
+struct ChaosPoint {
+  const char* label;
+  SolverKind kind;
+  bool fiber_free;  ///< the overlapped dataflow graph runs only fiber-free
+};
+
+void PrintTo(const ChaosPoint& point, std::ostream* os) { *os << point.label; }
+
+class ChaosPointTest : public ::testing::TestWithParam<ChaosPoint> {
+ protected:
+  void SetUp() override { chaos::reset(); }
+  void TearDown() override {
+    chaos::reset();
+    ProgressBoard::global().clear_retired();
+  }
+};
+
+// The labels that used to beat without a chaos hook: a timed stall armed
+// at each must fire exactly once and the run must still complete.
+TEST_P(ChaosPointTest, TimedStallFiresOnceAndTheRunCompletes) {
+  const ChaosPoint& point = GetParam();
+  SimulationParams p = liveness_params(point.kind);
+  if (point.fiber_free) {
+    p.num_fibers = 0;
+    p.nodes_per_fiber = 0;
+  }
+  std::unique_ptr<Solver> solver = make_solver(point.kind, p);
+  chaos::StallSpec stall;
+  stall.point_substr = point.label;
+  stall.duration_ms = 1;
+  chaos::arm_stall(stall);
+  solver->run(3);
+  EXPECT_EQ(chaos::stalls_fired(), 1);
+  EXPECT_EQ(solver->steps_completed(), 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FormerBeatOnlyLabels, ChaosPointTest,
+    ::testing::Values(
+        ChaosPoint{"cube:step:start", SolverKind::kCube, false},
+        ChaosPoint{"dataflow:step:start", SolverKind::kDataflow, false},
+        ChaosPoint{"dataflow:barrier:moved", SolverKind::kDataflow, false},
+        ChaosPoint{"dataflow:barrier:rearm", SolverKind::kDataflow, false},
+        ChaosPoint{"dataflow:overlapped-task", SolverKind::kDataflow, true},
+        ChaosPoint{"distributed2d:step:start", SolverKind::kDistributed2D,
+                   false},
+        ChaosPoint{"distributed2d:barrier:step-end",
+                   SolverKind::kDistributed2D, false}),
+    [](const ::testing::TestParamInfo<ChaosPoint>& info) {
+      std::string name = info.param.label;
+      for (char& c : name) {
+        if (c == ':' || c == '-') c = '_';
+      }
+      return name;
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     StdThreadKinds, LivenessTest,

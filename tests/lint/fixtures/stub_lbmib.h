@@ -162,4 +162,23 @@ struct FluidGrid {
   double* df_new();
 };
 
+class WallTimer {
+ public:
+  WallTimer();
+  double seconds() const;
+};
+
+enum class Phase { kBending, kCollideStream };
+
+class KernelProfiler {
+ public:
+  void add(Phase phase, double seconds);
+};
+
+class KernelScope {
+ public:
+  KernelScope(KernelProfiler& prof, Phase phase, long arg = -1);
+  ~KernelScope();
+};
+
 }  // namespace lbmib

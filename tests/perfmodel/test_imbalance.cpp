@@ -7,8 +7,8 @@ namespace {
 
 KernelProfiler with_total(double collision, double streaming = 0.0) {
   KernelProfiler p;
-  p.add(Kernel::kCollision, collision);
-  p.add(Kernel::kStreaming, streaming);
+  p.add(Phase::kCollide, collision);
+  p.add(Phase::kStream, streaming);
   return p;
 }
 

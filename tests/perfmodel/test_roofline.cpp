@@ -106,7 +106,6 @@ TEST(Roofline, CounterColumnsFlowThroughToReportAndJson) {
   m.name = "collide_stream";
   m.seconds = 1.0;
   m.units = 1e6;
-  m.spans = 10;
   m.has_counters = true;
   m.cycles = 4e9;
   m.instructions = 8e9;  // IPC 2
@@ -114,16 +113,23 @@ TEST(Roofline, CounterColumnsFlowThroughToReportAndJson) {
   m.llc_misses = 5e7;  // miss rate 0.5
   m.stalled_backend = 1e9;
 
-  const RooflineReport report = build_roofline({m}, peaks);
+  const RooflineReport report =
+      build_roofline({m}, peaks,
+                     {{"cycles", true},
+                      {"instructions", true},
+                      {"llc_references", true},
+                      {"llc_misses", true},
+                      {"stalled_backend", true}});
   ASSERT_EQ(report.rows.size(), 1u);
   const RooflineRow& r = report.rows[0];
   EXPECT_TRUE(r.has_counters);
-  EXPECT_NEAR(r.ipc, 2.0, 1e-12);
-  EXPECT_NEAR(r.llc_miss_rate, 0.5, 1e-12);
-  EXPECT_NEAR(r.llc_miss_per_unit, 5e7 / 1e6, 1e-9);
+  EXPECT_TRUE(report.counters_available);
+  EXPECT_NEAR(r.ipc.value_or(-1.0), 2.0, 1e-12);
+  EXPECT_NEAR(r.llc_miss_rate.value_or(-1.0), 0.5, 1e-12);
+  EXPECT_NEAR(r.llc_miss_per_unit.value_or(-1.0), 5e7 / 1e6, 1e-9);
   // 5e7 line fills x 64 B in 1 s = 3.2 GB/s.
-  EXPECT_NEAR(r.measured_gbps, 3.2, 1e-9);
-  EXPECT_NEAR(r.stalled_frac, 0.25, 1e-12);
+  EXPECT_NEAR(r.measured_gbps.value_or(-1.0), 3.2, 1e-9);
+  EXPECT_NEAR(r.stalled_frac.value_or(-1.0), 0.25, 1e-12);
 
   const std::string text = report.to_string();
   EXPECT_NE(text.find("collide_stream"), std::string::npos);
@@ -133,6 +139,61 @@ TEST(Roofline, CounterColumnsFlowThroughToReportAndJson) {
   EXPECT_NE(json.find("\"peaks\""), std::string::npos);
   EXPECT_NE(json.find("\"ipc\""), std::string::npos);
   EXPECT_NE(json.find("\"bound\": \"bandwidth\""), std::string::npos);
+}
+
+TEST(Roofline, SoftwareOnlyCountersAreReportedAbsentNotZero) {
+  // A host without a PMU grants only the software events: the span
+  // sampled counters (has_counters), but every hardware sum is 0.
+  MachinePeaks peaks;
+  peaks.gbps = 10.0;
+  peaks.gflops = 100.0;
+  KernelMeasurement m;
+  m.name = "collide_stream";
+  m.seconds = 1.0;
+  m.units = 1e6;
+  m.has_counters = true;
+
+  EventAvailability events = {
+      {"cycles", false},          {"instructions", false},
+      {"llc_references", false},  {"llc_misses", false},
+      {"stalled_backend", false}, {"dtlb_misses", false},
+      {"task_clock", true},       {"page_faults", true}};
+  const RooflineReport report = build_roofline({m}, peaks, events);
+  EXPECT_FALSE(report.counters_available);
+  EXPECT_FALSE(report.rows[0].ipc.has_value());
+
+  const std::string json = report.json();
+  EXPECT_NE(json.find("\"counters_available\": false"), std::string::npos);
+  EXPECT_NE(json.find("\"events\": {\"cycles\": false, "
+                      "\"instructions\": false"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"task_clock\": true"), std::string::npos);
+  for (const char* column :
+       {"ipc", "llc_miss_rate", "llc_miss_per_unit", "measured_gbps",
+        "stalled_backend_frac"}) {
+    EXPECT_NE(json.find("\"" + std::string(column) + "\": null"),
+              std::string::npos)
+        << column << " must be null, not 0, without its events: " << json;
+  }
+
+  // Granting cycles+instructions makes IPC a measurement again, while
+  // the LLC columns stay absent.
+  events[0].second = true;
+  events[1].second = true;
+  const RooflineReport partial = build_roofline({m}, peaks, events);
+  EXPECT_TRUE(partial.counters_available);
+  EXPECT_NE(partial.json().find("\"ipc\": 0.0000"), std::string::npos)
+      << partial.json();
+  EXPECT_NE(partial.json().find("\"llc_miss_rate\": null"),
+            std::string::npos);
+
+  // Without an availability map nothing was granted: the counter
+  // columns stay absent and the report claims no counters.
+  const RooflineReport unprobed = build_roofline({m}, peaks);
+  EXPECT_FALSE(unprobed.counters_available);
+  EXPECT_NE(unprobed.json().find("\"ipc\": null"), std::string::npos);
+  EXPECT_NE(unprobed.json().find("\"events\": {}"), std::string::npos);
 }
 
 }  // namespace

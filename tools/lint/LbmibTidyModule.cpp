@@ -3,7 +3,7 @@
 //
 // The dynamic tooling — race detector (§12), watchdog (§14), model
 // checker (§15) — only sees code that routes through the instrumented
-// seams in src/parallel/. These five checks make the routing itself a
+// seams in src/parallel/. These six checks make the routing itself a
 // compile-time rule, so a raw std::mutex or a stale df slot constant is
 // caught at review time instead of at the first hang:
 //
@@ -12,6 +12,7 @@
 //   lbmib-df-parity            parity-swap protocol (PR 3)
 //   lbmib-lock-discipline      RAII guards; no blocking under SpinLock
 //   lbmib-nondeterminism       replayability of kernels and schedulers
+//   lbmib-raw-timing           solver bodies time phases via KernelScope
 //
 // Load with:
 //   clang-tidy --load=liblbmib_tidy.so --checks='-*,lbmib-*' ...
@@ -25,6 +26,7 @@
 #include "MissingCancelPointCheck.h"
 #include "NondeterminismCheck.h"
 #include "RawSyncCheck.h"
+#include "RawTimingCheck.h"
 
 namespace clang {
 namespace tidy {
@@ -39,6 +41,7 @@ public:
     Factories.registerCheck<DfParityCheck>("lbmib-df-parity");
     Factories.registerCheck<LockDisciplineCheck>("lbmib-lock-discipline");
     Factories.registerCheck<NondeterminismCheck>("lbmib-nondeterminism");
+    Factories.registerCheck<RawTimingCheck>("lbmib-raw-timing");
   }
 };
 

@@ -5,6 +5,7 @@
 // parity swap), so "is this location allowed to do that?" is a path
 // regex decided per check, overridable through the standard clang-tidy
 // check options (tests point the regexes at fixture directories).
+// lbmib-raw-timing's regex is fixed and already covers its fixtures.
 //
 // The path compared is the *expansion* location's file name as the
 // compiler saw it (relative or absolute depending on how the compile
