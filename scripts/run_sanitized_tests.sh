@@ -5,8 +5,9 @@
 #
 #   address    ASan + UBSan, plus the runtime cube-ownership checker
 #              (-DLBMIB_CHECK_ACCESS=ON); runs the full suite. Default.
-#   thread     ThreadSanitizer; runs the `concurrency` ctest label — the
-#              std::thread solver/barrier/spinlock path. The OpenMP suite
+#   thread     ThreadSanitizer; runs the `concurrency` and `chaos` ctest
+#              labels — the std::thread solver/barrier/spinlock path and
+#              the liveness layer. The OpenMP suite
 #              is excluded because GCC's libgomp is not TSan-instrumented
 #              (tsan.supp suppresses any stragglers from that library).
 #   undefined  UBSan alone — cheap enough for quick local iteration.
@@ -59,7 +60,7 @@ case "$MODE" in
   thread)
     CMAKE_ARGS+=(-DLBMIB_SANITIZE=thread)
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=$PWD/tsan.supp"
-    CTEST_ARGS+=(-L concurrency)
+    CTEST_ARGS+=(-L 'concurrency|chaos')
     ;;
   undefined)
     CMAKE_ARGS+=(-DLBMIB_SANITIZE=undefined)
@@ -84,5 +85,7 @@ esac
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 
+# A label filter that selects nothing would pass without testing anything.
+scripts/check_ctest_selection.sh "$BUILD_DIR" "${CTEST_ARGS[@]}"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
   "${CTEST_ARGS[@]}"

@@ -151,12 +151,8 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
       // One register-fused pass per cube (kernels 5+6).
       KernelScope scope(prof, Phase::kCollideStream);
       for (Size cube : my_cubes) {
-        if (mrt_) {
-          cube_mrt_collide_stream(grid_, *mrt_, cube, params_.simd_step);
-        } else {
-          cube_collide_stream(grid_, params_.tau, cube,
-                              params_.simd_step);
-        }
+        cube_collide_stream(grid_, params_.tau, cube, params_.simd_step,
+                            mrt_.get());
       }
     } else {
       // Collide and stream interleave per cube here, so the trace gets
@@ -166,11 +162,7 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
       for (Size cube : my_cubes) {
         {
           KernelProfiler::Scope collide(prof, Phase::kCollide);
-          if (mrt_) {
-            cube_mrt_collide(grid_, *mrt_, cube);
-          } else {
-            cube_collide(grid_, params_.tau, cube);
-          }
+          cube_collide(grid_, params_.tau, cube, mrt_.get());
         }
         KernelProfiler::Scope stream(prof, Phase::kStream);
         cube_stream(grid_, cube);

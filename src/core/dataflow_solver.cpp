@@ -175,19 +175,10 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
           KernelScope scope(prof, Phase::kTaskCollideStream,
                             static_cast<std::int64_t>(cube));
           if (params_.fused_step) {
-            if (mrt_) {
-              cube_mrt_collide_stream(grid_, *mrt_, cube,
-                                      params_.simd_step);
-            } else {
-              cube_collide_stream(grid_, params_.tau, cube,
-                                  params_.simd_step);
-            }
+            cube_collide_stream(grid_, params_.tau, cube, params_.simd_step,
+                                mrt_.get());
           } else {
-            if (mrt_) {
-              cube_mrt_collide(grid_, *mrt_, cube);
-            } else {
-              cube_collide(grid_, params_.tau, cube);
-            }
+            cube_collide(grid_, params_.tau, cube, mrt_.get());
             cube_stream(grid_, cube);
           }
           // Resolve dependencies: the last streamer of a neighbourhood
@@ -348,19 +339,10 @@ void DataflowCubeSolver::run_overlapped(Index num_steps) {
 
       if (is_collide) {
         if (params_.fused_step) {
-          if (mrt_) {
-            cube_mrt_collide_stream(grid_, *mrt_, cube, src_base, dst_base,
-                                    params_.simd_step);
-          } else {
-            cube_collide_stream(grid_, params_.tau, cube, src_base,
-                                dst_base, params_.simd_step);
-          }
+          cube_collide_stream(grid_, params_.tau, cube, src_base, dst_base,
+                              params_.simd_step, mrt_.get());
         } else {
-          if (mrt_) {
-            cube_mrt_collide(grid_, *mrt_, cube);
-          } else {
-            cube_collide(grid_, params_.tau, cube);
-          }
+          cube_collide(grid_, params_.tau, cube, mrt_.get());
           cube_stream(grid_, cube);
         }
         // Enable update(step, n) for completed neighbourhoods.

@@ -9,7 +9,6 @@
 #include "lbm/d3q19.hpp"
 #include "lbm/fused.hpp"
 #include "lbm/macroscopic.hpp"
-#include "lbm/mrt.hpp"
 #include "lbm/streaming.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_team.hpp"
@@ -431,24 +430,22 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
       spread_forces_local(r);
     }
     if (params_.fused_step) {
-      // Kernels 5+6 as one pass over the real tile (x/y pushes land in
-      // the ghost layers without wrapping, z wraps — the same writes as
-      // the reference stream_x_slab over the tile); the halo exchange
+      // Kernels 5+6 as one pass over the real tile: the planar fused
+      // sweep given the tile's x and y ranges, so x/y pushes land in the
+      // ghost layers without wrapping and only z wraps — the same writes
+      // as the reference stream_x_slab over the tile. The halo exchange
       // then ships the freshly-pushed crossing populations as in the
       // reference pipeline.
       KernelScope scope(prof, Phase::kCollideStream);
-      fused_collide_stream_tile(grid, params_.tau, mrt_.get(), 1, lnx, 1,
-                                lny, params_.simd_step);
+      fused_collide_stream_x_slab(grid, params_.tau, mrt_.get(), 1, lnx + 1,
+                                  1, lny + 1, params_.simd_step,
+                                  params_.tile_y);
     } else {
       {  // kernel 5
         KernelScope scope(prof, Phase::kCollide);
         for (Index lx = 1; lx <= lnx; ++lx) {
           const auto [begin, end] = row_range(lx);
-          if (mrt_) {
-            mrt_collide_range(grid, *mrt_, begin, end);
-          } else {
-            collide_range(grid, params_.tau, begin, end);
-          }
+          collide_range(grid, params_.tau, begin, end, mrt_.get());
         }
       }
       KernelScope scope(prof, Phase::kStream);  // kernel 6

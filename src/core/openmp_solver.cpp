@@ -9,7 +9,6 @@
 #include "lbm/boundary.hpp"
 #include "lbm/collision.hpp"
 #include "lbm/fused.hpp"
-#include "lbm/mrt.hpp"
 #include "lbm/macroscopic.hpp"
 #include "lbm/streaming.hpp"
 
@@ -159,11 +158,7 @@ void OpenMPSolver::step() {
     } else {
       {
         KernelScope scope(prof, Phase::kCollide);
-        if (mrt_) {
-          mrt_collide_range(grid_, *mrt_, node_begin, node_end);
-        } else {
-          collide_range(grid_, params_.tau, node_begin, node_end);
-        }
+        collide_range(grid_, params_.tau, node_begin, node_end, mrt_.get());
       }
       team_barrier();
       KernelScope scope(prof, Phase::kStream);

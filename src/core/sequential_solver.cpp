@@ -7,7 +7,6 @@
 #include "lbm/boundary.hpp"
 #include "lbm/collision.hpp"
 #include "lbm/fused.hpp"
-#include "lbm/mrt.hpp"
 #include "lbm/macroscopic.hpp"
 #include "lbm/streaming.hpp"
 
@@ -67,11 +66,7 @@ void SequentialSolver::step() {
   } else {
     {
       KernelScope scope(prof, Phase::kCollide);
-      if (mrt_) {
-        mrt_collide_range(grid_, *mrt_, 0, n);
-      } else {
-        collide_range(grid_, params_.tau, 0, n);
-      }
+      collide_range(grid_, params_.tau, 0, n, mrt_.get());
     }
     {
       KernelScope scope(prof, Phase::kStream);

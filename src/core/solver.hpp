@@ -2,11 +2,16 @@
 //
 // A Solver owns the fluid state and the immersed structure, and advances
 // them by executing the paper's nine computational kernels per time step
-// (Algorithm 1). Three implementations exist, mirroring the paper's three
-// programs:
-//   * SequentialSolver - single-threaded reference (Section III),
-//   * OpenMPSolver     - loop-parallel version (Section IV),
-//   * CubeSolver       - cube-centric Pthreads-style version (Section V).
+// (Algorithm 1). Six SolverKinds run on five implementations. The first
+// three mirror the paper's three programs, the last two its future work:
+//   * SequentialSolver    - single-threaded reference (Section III),
+//   * OpenMPSolver        - loop-parallel version (Section IV),
+//   * CubeSolver          - cube-centric Pthreads-style version (Section V),
+//   * DataflowCubeSolver  - cube solver with dynamic task scheduling in
+//                           place of the global barriers,
+//   * Distributed2DSolver - message-passing ranks on ghosted tiles; it
+//                           runs both kDistributed (R x 1 slabs) and
+//                           kDistributed2D (balanced Rx x Ry tiles).
 #pragma once
 
 #include <functional>

@@ -16,7 +16,8 @@
 
 namespace lbmib {
 
-void cube_collide(CubeGrid& grid, Real tau, Size cube) {
+void cube_collide(CubeGrid& grid, Real tau, Size cube,
+                  const MrtOperator* mrt) {
   LBMIB_INSTRUMENT(
       inst::cube_kernel(grid, cube, StepPhase::kCollideStream,
                         RaceField::kDf, RaceAccess::kWrite,
@@ -33,32 +34,9 @@ void cube_collide(CubeGrid& grid, Real tau, Size cube) {
   const Real* fz = grid.slot(cube, CubeGrid::kFzSlot);
   for (Size local = 0; local < m; ++local) {
     if (grid.solid(cube, local)) continue;
-    NodeDistributions node;
-    for (int i = 0; i < kQ; ++i) node.g[i] = planes[i] + local;
-    collide_node(node, tau, {fx[local], fy[local], fz[local]});
-  }
-}
-
-void cube_mrt_collide(CubeGrid& grid, const MrtOperator& op, Size cube) {
-  LBMIB_INSTRUMENT(
-      inst::cube_kernel(grid, cube, StepPhase::kCollideStream,
-                        RaceField::kDf, RaceAccess::kWrite,
-                        "cube_mrt_collide: in-place df update");
-      inst::cube_access(grid, cube, RaceField::kForce, RaceAccess::kRead,
-                        "cube_mrt_collide: force read");)
-  const Size m = grid.nodes_per_cube();
-  Real* planes[kQ];
-  for (int i = 0; i < kQ; ++i) {
-    planes[i] = grid.slot(cube, grid.df_slot_base() + static_cast<Size>(i));
-  }
-  const Real* fx = grid.slot(cube, CubeGrid::kFxSlot);
-  const Real* fy = grid.slot(cube, CubeGrid::kFySlot);
-  const Real* fz = grid.slot(cube, CubeGrid::kFzSlot);
-  for (Size local = 0; local < m; ++local) {
-    if (grid.solid(cube, local)) continue;
     Real g[kQ];
     for (int i = 0; i < kQ; ++i) g[i] = planes[i][local];
-    op.collide_node(g, {fx[local], fy[local], fz[local]});
+    collide_node(g, tau, mrt, {fx[local], fy[local], fz[local]});
     for (int i = 0; i < kQ; ++i) planes[i][local] = g[i];
   }
 }
@@ -322,11 +300,7 @@ void cube_collide_stream_vector(CubeGrid& grid, Real tau,
   const Real* fx = grid.slot(cube, CubeGrid::kFxSlot);
   const Real* fy = grid.slot(cube, CubeGrid::kFySlot);
   const Real* fz = grid.slot(cube, CubeGrid::kFzSlot);
-  if (mrt != nullptr) {
-    fused_block_mrt(src, post, fx, fy, fz, m, *mrt);
-  } else {
-    fused_block_bgk(src, post, fx, fy, fz, m, tau);
-  }
+  fused_block(src, post, fx, fy, fz, m, tau, mrt);
 
   // Rest particle: whole-slot copy.
   std::memcpy(grid.slot(cube, dst_base), post[0], m * sizeof(Real));
@@ -444,12 +418,7 @@ void cube_collide_stream_impl(CubeGrid& grid, Real tau,
         }
         Real g[kQ];
         for (int dir = 0; dir < kQ; ++dir) g[dir] = src[dir][local];
-        const Vec3 force{fx[local], fy[local], fz[local]};
-        if (mrt != nullptr) {
-          mrt->collide_node(g, force);
-        } else {
-          collide_node_array(g, tau, force);
-        }
+        collide_node(g, tau, mrt, {fx[local], fy[local], fz[local]});
         own_new[0][local] = g[0];
 
         if (x_interior && y_interior && lz > 0 && lz < k - 1) {
@@ -519,27 +488,15 @@ void cube_collide_stream_impl(CubeGrid& grid, Real tau,
 
 }  // namespace
 
-void cube_collide_stream(CubeGrid& grid, Real tau, Size cube, bool simd) {
-  cube_collide_stream_impl(grid, tau, nullptr, cube, grid.df_slot_base(),
+void cube_collide_stream(CubeGrid& grid, Real tau, Size cube, bool simd,
+                         const MrtOperator* mrt) {
+  cube_collide_stream_impl(grid, tau, mrt, cube, grid.df_slot_base(),
                            grid.df_new_slot_base(), simd);
 }
 
 void cube_collide_stream(CubeGrid& grid, Real tau, Size cube, Size src_base,
-                         Size dst_base, bool simd) {
-  cube_collide_stream_impl(grid, tau, nullptr, cube, src_base, dst_base,
-                           simd);
-}
-
-void cube_mrt_collide_stream(CubeGrid& grid, const MrtOperator& op,
-                             Size cube, bool simd) {
-  cube_collide_stream_impl(grid, 0.0, &op, cube, grid.df_slot_base(),
-                           grid.df_new_slot_base(), simd);
-}
-
-void cube_mrt_collide_stream(CubeGrid& grid, const MrtOperator& op,
-                             Size cube, Size src_base, Size dst_base,
-                             bool simd) {
-  cube_collide_stream_impl(grid, 0.0, &op, cube, src_base, dst_base, simd);
+                         Size dst_base, bool simd, const MrtOperator* mrt) {
+  cube_collide_stream_impl(grid, tau, mrt, cube, src_base, dst_base, simd);
 }
 
 void cube_update_velocity(CubeGrid& grid, Size cube) {

@@ -18,48 +18,45 @@
 #include "common/types.hpp"
 #include "common/vec3.hpp"
 #include "cube/distribution.hpp"
-#include "lbm/mrt.hpp"
 #include "parallel/spinlock.hpp"
 
 namespace lbmib {
 
 class CubeGrid;
 class FiberSheet;
+class MrtOperator;
 
-/// Kernel 5 on one cube: BGK collision with Guo forcing, in place on df.
-void cube_collide(CubeGrid& grid, Real tau, Size cube);
-
-/// Kernel 5 on one cube with the MRT operator instead of BGK.
-void cube_mrt_collide(CubeGrid& grid, const MrtOperator& op, Size cube);
+/// Kernel 5 on one cube, in place on df: MRT when `mrt` is non-null,
+/// else BGK with Guo forcing at `tau` (the `(tau, mrt)` pair of
+/// collide_node, lbm/collision.hpp).
+void cube_collide(CubeGrid& grid, Real tau, Size cube,
+                  const MrtOperator* mrt = nullptr);
 
 /// Kernel 6 on one cube: push-stream df into df_new (own and neighbour
 /// cubes), with half-way bounce-back at solid nodes.
 void cube_stream(CubeGrid& grid, Size cube);
 
 /// Fused kernels 5+6 on one cube (the params.fused_step pipeline): collide
-/// each node's populations in registers and push them straight into
-/// df_new, leaving df untouched so kernel 9 becomes
-/// CubeGrid::swap_df_buffers. Bit-identical to cube_collide + cube_stream
-/// (the arithmetic is shared via collide_node_array). Solid nodes' df_new
-/// slots are zeroed — see the implementation comment. When `simd` is set,
-/// cubes whose 27-cube region is solid-free collide through the lane-block
-/// kernels into a thread-local scratch block and scatter with the same
-/// branch-free rectangular row copies as stream_cube_fast; other cubes
-/// (and simd == false, the A/B reference) take the scalar per-node sweep.
+/// each node's populations in registers (the same `(tau, mrt)` operator as
+/// cube_collide) and push them straight into df_new, leaving df untouched
+/// so kernel 9 becomes CubeGrid::swap_df_buffers. Bit-identical to
+/// cube_collide + cube_stream (both collide through collide_node). Solid
+/// nodes' df_new slots are zeroed — see the implementation comment. When
+/// `simd` is set, cubes whose 27-cube region is solid-free collide through
+/// the lane-block seam (fused_block) into a thread-local scratch block and
+/// scatter with the same branch-free rectangular row copies as
+/// stream_cube_fast; other cubes (and simd == false, the A/B reference)
+/// take the scalar per-node sweep.
 void cube_collide_stream(CubeGrid& grid, Real tau, Size cube,
-                         bool simd = true);
-void cube_mrt_collide_stream(CubeGrid& grid, const MrtOperator& op,
-                             Size cube, bool simd = true);
+                         bool simd = true, const MrtOperator* mrt = nullptr);
 
-/// Explicit-parity overloads for the overlapped dataflow solver, which
+/// Explicit-parity overload for the overlapped dataflow solver, which
 /// tracks swap parity per *step* in its task graph rather than on the grid:
 /// read df from slot base `src_base`, write df_new at `dst_base` (each
 /// CubeGrid::kDfSlot or kDfNewSlot).
 void cube_collide_stream(CubeGrid& grid, Real tau, Size cube, Size src_base,
-                         Size dst_base, bool simd = true);
-void cube_mrt_collide_stream(CubeGrid& grid, const MrtOperator& op,
-                             Size cube, Size src_base, Size dst_base,
-                             bool simd = true);
+                         Size dst_base, bool simd = true,
+                         const MrtOperator* mrt = nullptr);
 
 /// Kernel 7 on one cube: macroscopic density/velocity from df_new + F/2.
 void cube_update_velocity(CubeGrid& grid, Size cube);

@@ -2,6 +2,7 @@
 
 #include "lbm/d3q19.hpp"
 #include "lbm/fluid_grid.hpp"
+#include "lbm/mrt.hpp"
 #include "parallel/instrumentation.hpp"
 
 namespace lbmib {
@@ -25,28 +26,17 @@ void collide_node_array(Real* g, Real tau, const Vec3& force) {
   }
 }
 
-namespace {
-
-/// BGK + Guo update through per-direction pointers (the strided reference
-/// path). Gathers into a local array, collides, scatters back — one
-/// arithmetic implementation for both pipelines.
-inline void collide_values(Real* g[kQ], Real tau, const Vec3& force) {
-  Real v[kQ];
-  for (int i = 0; i < kQ; ++i) v[i] = *g[i];
-  collide_node_array(v, tau, force);
-  for (int i = 0; i < kQ; ++i) *g[i] = v[i];
-}
-
-}  // namespace
-
-void collide_node(const NodeDistributions& node, Real tau,
+void collide_node(Real* g, Real tau, const MrtOperator* mrt,
                   const Vec3& force) {
-  Real* g[kQ];
-  for (int i = 0; i < kQ; ++i) g[i] = node.g[i];
-  collide_values(g, tau, force);
+  if (mrt != nullptr) {
+    mrt->collide_node(g, force);
+  } else {
+    collide_node_array(g, tau, force);
+  }
 }
 
-void collide_range(FluidGrid& grid, Real tau, Size begin, Size end) {
+void collide_range(FluidGrid& grid, Real tau, Size begin, Size end,
+                   const MrtOperator* mrt) {
   LBMIB_INSTRUMENT(
       inst::node_range(grid, begin, end, RaceField::kDf, RaceAccess::kWrite,
                        "collide_range: in-place df update");
@@ -56,9 +46,10 @@ void collide_range(FluidGrid& grid, Real tau, Size begin, Size end) {
   for (int i = 0; i < kQ; ++i) planes[i] = grid.df_plane(i);
   for (Size node = begin; node < end; ++node) {
     if (grid.solid(node)) continue;
-    Real* g[kQ];
-    for (int i = 0; i < kQ; ++i) g[i] = planes[i] + node;
-    collide_values(g, tau, grid.force(node));
+    Real g[kQ];
+    for (int i = 0; i < kQ; ++i) g[i] = planes[i][node];
+    collide_node(g, tau, mrt, grid.force(node));
+    for (int i = 0; i < kQ; ++i) planes[i][node] = g[i];
   }
 }
 

@@ -11,7 +11,6 @@
 #include "lbm/collision.hpp"
 #include "lbm/d3q19.hpp"
 #include "lbm/fluid_grid.hpp"
-#include "lbm/mrt.hpp"
 #include "lbm/simd.hpp"
 #include "lbm/simd_kernels.hpp"
 #include "parallel/instrumentation.hpp"
@@ -69,11 +68,7 @@ struct NodeCollide {
   const MrtOperator* mrt;
 
   void operator()(Real* g, Size node) const {
-    if (mrt != nullptr) {
-      mrt->collide_node(g, grid.force(node));
-    } else {
-      collide_node_array(g, tau, grid.force(node));
-    }
+    collide_node(g, tau, mrt, grid.force(node));
   }
 };
 
@@ -130,38 +125,6 @@ inline void slab_node_scalar(const FluidGrid& grid,
   }
 }
 
-/// Scalar loop body for the ghost-layer tile sweep: x/y targets always
-/// land inside the ghosted local grid; only z wraps (it is not
-/// decomposed) — what stream_x_slab does for interior x/y rows.
-inline void tile_node_scalar(const FluidGrid& grid,
-                             const StreamContext& ctx,
-                             const NodeCollide& collide, Index nz,
-                             Index lx, Index ly, Index z) {
-  using namespace d3q19;
-  const Size src = grid.index(lx, ly, z);
-  if (grid.solid(src)) {
-    for (int dir = 0; dir < kQ; ++dir) ctx.df_new[dir][src] = 0.0;
-    return;
-  }
-  Real g[kQ];
-  for (int dir = 0; dir < kQ; ++dir) g[dir] = ctx.df[dir][src];
-  collide(g, src);
-  ctx.df_new[0][src] = g[0];
-  for (int dir = 1; dir < kQ; ++dir) {
-    const Index tx = lx + cx[static_cast<Size>(dir)];
-    const Index ty = ly + cy[static_cast<Size>(dir)];
-    const Index tz = FluidGrid::wrap(z + cz[static_cast<Size>(dir)], nz);
-    const Size dst = grid.index(tx, ty, tz);
-    if (grid.solid(dst)) {
-      Real v = g[dir];
-      if (ctx.has_lid && tz == nz - 1) v -= ctx.lid_corr[dir];
-      ctx.df_new[opposite(dir)][src] = v;
-    } else {
-      ctx.df_new[dir][dst] = g[dir];
-    }
-  }
-}
-
 /// Branch-free cap node of a fully clear row (z = 0 with cap_offset_lo,
 /// z = nz-1 with cap_offset_hi): the 3x3 neighborhood is solid-free, so
 /// every push lands in fluid (no bounce-back, no lid correction) and only
@@ -185,13 +148,8 @@ inline void fused_cap_node(const StreamContext& ctx,
 inline void fused_run_kernels(const FluidGrid& grid, Real tau,
                               const MrtOperator* mrt, Size run0, Size len,
                               const Real* const* src, Real* const* dst) {
-  if (mrt != nullptr) {
-    fused_block_mrt(src, dst, grid.fx_data() + run0, grid.fy_data() + run0,
-                    grid.fz_data() + run0, len, *mrt);
-  } else {
-    fused_block_bgk(src, dst, grid.fx_data() + run0, grid.fy_data() + run0,
-                    grid.fz_data() + run0, len, tau);
-  }
+  fused_block(src, dst, grid.fx_data() + run0, grid.fy_data() + run0,
+              grid.fz_data() + run0, len, tau, mrt);
 }
 
 /// Hand a contiguous z-run of a clear row starting at linear index
@@ -355,6 +313,14 @@ Index fused_auto_tile_y(Index ny, Index nz) {
 void fused_collide_stream_x_slab(FluidGrid& grid, Real tau,
                                  const MrtOperator* mrt, Index x_begin,
                                  Index x_end, bool simd, Index tile_y) {
+  fused_collide_stream_x_slab(grid, tau, mrt, x_begin, x_end, 0, grid.ny(),
+                              simd, tile_y);
+}
+
+void fused_collide_stream_x_slab(FluidGrid& grid, Real tau,
+                                 const MrtOperator* mrt, Index x_begin,
+                                 Index x_end, Index y_begin, Index y_end,
+                                 bool simd, Index tile_y) {
   const Index nx = grid.nx(), ny = grid.ny(), nz = grid.nz();
   // Same footprint as stream_x_slab (reads stay inside the slab, pushes
   // reach one plane either side) plus the collide's force read.
@@ -387,8 +353,8 @@ void fused_collide_stream_x_slab(FluidGrid& grid, Real tau,
   // y-tiled traversal: a tile's 3-x-row df working set stays L2-resident
   // across the x sweep. Safe to re-order freely — every df_new slot has
   // exactly one writer, so the result is bit-identical for any traversal.
-  for (Index ty = 0; ty < ny; ty += tile) {
-    const Index ty_end = std::min(ty + tile, ny);
+  for (Index ty = y_begin; ty < y_end; ty += tile) {
+    const Index ty_end = std::min(ty + tile, y_end);
     for (Index x = x_begin; x < x_end; ++x) {
       for (Index y = ty; y < ty_end; ++y) {
         const Size src0 = grid.index(x, y, 0);
@@ -463,84 +429,6 @@ void fused_collide_stream_x_slab(FluidGrid& grid, Real tau,
             for (Index z = 0; z < nz; ++z) {
               slab_node_scalar(grid, ctx, collide, nx, ny, nz, x, y, z);
             }
-          }
-        }
-      }
-    }
-  }
-}
-
-void fused_collide_stream_tile(FluidGrid& grid, Real tau,
-                               const MrtOperator* mrt, Index x_lo,
-                               Index x_hi, Index y_lo, Index y_hi,
-                               bool simd) {
-  const Index nz = grid.nz();
-  // Tiles never wrap in x (the ghosted local grid absorbs +-1 targets),
-  // so the push footprint is the tile's plane range widened by one.
-  LBMIB_INSTRUMENT(
-      inst::planes(grid, static_cast<Size>(x_lo),
-                   static_cast<Size>(x_hi + 1), RaceField::kDf,
-                   RaceAccess::kRead, "fused_collide_stream_tile: df read");
-      inst::planes(grid, static_cast<Size>(x_lo),
-                   static_cast<Size>(x_hi + 1), RaceField::kForce,
-                   RaceAccess::kRead,
-                   "fused_collide_stream_tile: force read");
-      inst::planes(grid, static_cast<Size>(x_lo > 0 ? x_lo - 1 : 0),
-                   static_cast<Size>(
-                       x_hi + 2 < grid.nx() ? x_hi + 2 : grid.nx()),
-                   RaceField::kDfNew, RaceAccess::kScatter,
-                   "fused_collide_stream_tile: df_new push");)
-  StreamContext ctx(grid);
-  const NodeCollide collide{grid, tau, mrt};
-  const bool vector_rows = simd && nz >= 3;
-  const bool cap_rows = simd && nz >= 5;
-
-  for (Index lx = x_lo; lx <= x_hi; ++lx) {
-    for (Index ly = y_lo; ly <= y_hi; ++ly) {
-      const Size src0 = grid.index(lx, ly, 0);
-      if (grid.row_solid(lx, ly)) {
-        zero_solid_row(ctx, src0, nz);
-        continue;
-      }
-      prefetch_next_row(grid, ctx, src0, nz);
-      // row_clear on the ghosted local grid: interior in local x/y (true
-      // for every real row — ghosts pad both sides) and solid-free 3x3
-      // neighborhood, so the interior z-run needs no solid/lid checks and
-      // x/y targets stay strictly local. The caps only wrap in z, which
-      // the folded cap offsets handle.
-      if (vector_rows && grid.row_clear(lx, ly)) {
-        prefetch_wrap_columns(grid, ctx, lx, ly, nz);
-        fused_cap_node(ctx, collide, src0, ctx.cap_offset_lo);
-        fused_row_simd(grid, ctx, tau, mrt, src0 + 1,
-                       static_cast<Size>(nz - 2), ctx.offset);
-        fused_cap_node(ctx, collide, src0 + static_cast<Size>(nz - 1),
-                       ctx.cap_offset_hi);
-      } else if (cap_rows && grid.row_cap_clear(lx, ly)) {
-        tile_node_scalar(grid, ctx, collide, nz, lx, ly, 0);
-        tile_node_scalar(grid, ctx, collide, nz, lx, ly, 1);
-        fused_row_simd(grid, ctx, tau, mrt, src0 + 2,
-                       static_cast<Size>(nz - 4), ctx.offset);
-        tile_node_scalar(grid, ctx, collide, nz, lx, ly, nz - 2);
-        tile_node_scalar(grid, ctx, collide, nz, lx, ly, nz - 1);
-      } else {
-        const Real* msrc[kQ];
-        Real* mdst[kQ];
-        // Real rows of the ghosted local grid never wrap in x/y (the
-        // builder's wrap is the identity for them) and ghost-row solid
-        // flags are maintained by set_solid, so the same mixed-row
-        // classification applies.
-        if (cap_rows &&
-            build_mixed_row_dsts(grid, ctx, lx, ly, src0 + 2, msrc,
-                                 mdst)) {
-          tile_node_scalar(grid, ctx, collide, nz, lx, ly, 0);
-          tile_node_scalar(grid, ctx, collide, nz, lx, ly, 1);
-          fused_run_kernels(grid, tau, mrt, src0 + 2,
-                            static_cast<Size>(nz - 4), msrc, mdst);
-          tile_node_scalar(grid, ctx, collide, nz, lx, ly, nz - 2);
-          tile_node_scalar(grid, ctx, collide, nz, lx, ly, nz - 1);
-        } else {
-          for (Index z = 0; z < nz; ++z) {
-            tile_node_scalar(grid, ctx, collide, nz, lx, ly, z);
           }
         }
       }

@@ -9,17 +9,21 @@
 // straight into df_new with the same bounce-back / moving-lid / wrap
 // handling as stream_x_slab. The df buffer is left untouched, which makes
 // kernel 9 an O(1) buffer swap (FluidGrid::swap_buffers) instead of a
-// 19-plane memcpy. The arithmetic is shared with the reference kernels
-// (collide_node_array, MrtOperator::collide_node), so for BGK the fused
-// pipeline is bit-identical to collide_range + stream_x_slab + copy.
+// 19-plane memcpy. The operator is the `(tau, mrt)` pair of every kernel-5
+// entry (MRT when `mrt` is non-null, else BGK), and the scalar path
+// collides through the same seam as the reference kernels (collide_node),
+// so the scalar fused pipeline is bit-identical to collide_range +
+// stream_x_slab + copy for BGK and MRT alike. One sweep serves every
+// planar solver: whole grids, x-slabs, and (through the y-range overload)
+// the distributed solver's ghosted tiles.
 //
 // Vectorization (DESIGN.md §16): when `simd` is set, rows whose
 // FluidGrid::row_clear flag holds (interior in x/y, no solid anywhere in
 // the 3x3 row neighborhood) hand their interior z-run [1, nz-1) to the
-// lane-block kernels of simd_kernels.hpp — the run is branch-free (every
-// destination is src + offset, never solid, never lid-corrected), so the
-// whole 19-direction collide + shifted scatter runs under `#pragma omp
-// simd` over contiguous z. The two boundary columns (z = 0, nz-1) and
+// lane-block seam of simd_kernels.hpp (fused_block) — the run is
+// branch-free (every destination is src + offset, never solid, never
+// lid-corrected), so the whole 19-direction collide + shifted scatter
+// runs under `#pragma omp simd` over contiguous z. The two boundary columns (z = 0, nz-1) and
 // every non-clear row take the scalar per-node path, whose expression
 // trees the lane kernels mirror exactly. The planar sweep is additionally
 // blocked into y-tiles sized so a tile's df working set fits the probed
@@ -59,18 +63,16 @@ void fused_collide_stream_x_slab(FluidGrid& grid, Real tau,
                                  Index x_end, bool simd = true,
                                  Index tile_y = 0);
 
-/// Tile variant for the ghost-layer decomposition: nodes with local
-/// x in [x_lo, x_hi] and y in [y_lo, y_hi] (inclusive, matching the
-/// distributed solver's real-tile bounds). x/y pushes land inside the
-/// ghosted local grid without wrapping; only z wraps (it is not
-/// decomposed). Writes exactly what the distributed solver's reference
-/// pipeline streams with stream_x_slab over the same x/y ranges.
-/// `simd` enables the same clear-row lane-block fast path (row_clear on
-/// the ghosted local grid already encodes the tile's interiority).
-void fused_collide_stream_tile(FluidGrid& grid, Real tau,
-                               const MrtOperator* mrt, Index x_lo,
-                               Index x_hi, Index y_lo, Index y_hi,
-                               bool simd = true);
+/// Fused kernels 5+6 for every node with x in [x_begin, x_end) and y in
+/// [y_begin, y_end), with the same boundary rules, `simd` and `tile_y`
+/// (y-tiles start at y_begin). The distributed solver sweeps its real
+/// tile this way, like stream_x_slab's y-range overload: on the ghosted
+/// local grid a real row is never a grid-face row, so every x/y push lands
+/// in the tile or its ghost ring and only z wraps.
+void fused_collide_stream_x_slab(FluidGrid& grid, Real tau,
+                                 const MrtOperator* mrt, Index x_begin,
+                                 Index x_end, Index y_begin, Index y_end,
+                                 bool simd = true, Index tile_y = 0);
 
 /// Largest y-tile whose fused working set fits half the L2 cache: a tile
 /// column sweeps 3 x-rows of both df buffers (19 planes each) per y, i.e.

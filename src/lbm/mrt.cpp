@@ -2,8 +2,6 @@
 
 #include "common/error.hpp"
 #include "lbm/d3q19.hpp"
-#include "lbm/fluid_grid.hpp"
-#include "parallel/instrumentation.hpp"
 
 namespace lbmib {
 
@@ -152,24 +150,6 @@ void MrtOperator::collide_node(Real* g, const Vec3& force) const {
                update_m[r];
     }
     g[i] += delta;
-  }
-}
-
-void mrt_collide_range(FluidGrid& grid, const MrtOperator& op, Size begin,
-                       Size end) {
-  LBMIB_INSTRUMENT(
-      inst::node_range(grid, begin, end, RaceField::kDf, RaceAccess::kWrite,
-                       "mrt_collide_range: in-place df update");
-      inst::node_range(grid, begin, end, RaceField::kForce,
-                       RaceAccess::kRead, "mrt_collide_range: force read");)
-  Real* planes[kQ];
-  for (int i = 0; i < kQ; ++i) planes[i] = grid.df_plane(i);
-  for (Size node = begin; node < end; ++node) {
-    if (grid.solid(node)) continue;
-    Real g[kQ];
-    for (int i = 0; i < kQ; ++i) g[i] = planes[i][node];
-    op.collide_node(g, grid.force(node));
-    for (int i = 0; i < kQ; ++i) planes[i][node] = g[i];
   }
 }
 

@@ -27,8 +27,6 @@
 
 namespace lbmib {
 
-class FluidGrid;
-
 /// Per-moment-class relaxation rates. All rates must lie in (0, 2).
 struct MrtRelaxation {
   Real s_e = 1.19;    ///< energy
@@ -85,10 +83,5 @@ class MrtOperator {
   std::array<std::array<Real, kQ>, kQ> m_;      // M
   std::array<std::array<Real, kQ>, kQ> m_inv_;  // M^-1
 };
-
-/// Kernel-5 variant: MRT collision over nodes [begin, end) of the planar
-/// grid (drop-in replacement for collide_range).
-void mrt_collide_range(FluidGrid& grid, const MrtOperator& op, Size begin,
-                       Size end);
 
 }  // namespace lbmib

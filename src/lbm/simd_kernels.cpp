@@ -196,4 +196,14 @@ void fused_block_mrt(const Real* const* src, Real* const* dst,
   }
 }
 
+void fused_block(const Real* const* src, Real* const* dst, const Real* fx,
+                 const Real* fy, const Real* fz, Size n, Real tau,
+                 const MrtOperator* mrt) {
+  if (mrt != nullptr) {
+    fused_block_mrt(src, dst, fx, fy, fz, n, *mrt);
+  } else {
+    fused_block_bgk(src, dst, fx, fy, fz, n, tau);
+  }
+}
+
 }  // namespace lbmib

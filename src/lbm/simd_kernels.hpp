@@ -38,4 +38,10 @@ void fused_block_mrt(const Real* const* src, Real* const* dst,
                      const Real* fx, const Real* fy, const Real* fz, Size n,
                      const MrtOperator& op);
 
+/// The lane-block seam of collide_node (collision.hpp): fused_block_mrt
+/// when `mrt` is non-null, fused_block_bgk at `tau` otherwise.
+void fused_block(const Real* const* src, Real* const* dst, const Real* fx,
+                 const Real* fy, const Real* fz, Size n, Real tau,
+                 const MrtOperator* mrt);
+
 }  // namespace lbmib

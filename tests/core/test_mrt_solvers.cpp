@@ -1,5 +1,5 @@
-// The MRT collision model must behave identically across all five solver
-// implementations and flow through the configuration layer.
+// The MRT collision model must behave identically across all six solver
+// kinds and flow through the configuration layer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -46,6 +46,10 @@ TEST(MrtSolvers, AllParallelSolversMatchSequential) {
   Distributed2DSolver dist(p, Distributed2DSolver::Mesh::kSlabs);
   dist.run(8);
   EXPECT_LT(compare_solvers(seq, dist).max_any(), 1e-11) << "distributed";
+
+  Distributed2DSolver tiles(p, Distributed2DSolver::Mesh::kTiles);
+  tiles.run(8);
+  EXPECT_LT(compare_solvers(seq, tiles).max_any(), 1e-11) << "distributed2d";
 }
 
 TEST(MrtSolvers, MrtAndBgkDivergeOnTransients) {

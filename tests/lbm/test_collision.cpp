@@ -146,9 +146,10 @@ TEST(Collision, CollideNodeMatchesCollideRange) {
 
   collide_range(a, 0.8, 0, a.num_nodes());
   for (Size node = 0; node < b.num_nodes(); ++node) {
-    NodeDistributions nd;
-    for (int dir = 0; dir < kQ; ++dir) nd.g[dir] = &b.df(dir, node);
-    collide_node(nd, 0.8, force);
+    Real g[kQ];
+    for (int dir = 0; dir < kQ; ++dir) g[dir] = b.df(dir, node);
+    collide_node_array(g, 0.8, force);
+    for (int dir = 0; dir < kQ; ++dir) b.df(dir, node) = g[dir];
   }
   for (Size node = 0; node < a.num_nodes(); ++node) {
     for (int dir = 0; dir < kQ; ++dir) {

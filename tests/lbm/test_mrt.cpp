@@ -62,7 +62,7 @@ TEST(Mrt, ConservesMassAndMomentumWithoutForce) {
   const Real mass = grid.total_mass();
   const Vec3 p = grid.total_momentum();
   const MrtOperator op(MrtRelaxation::from_tau(0.8));
-  mrt_collide_range(grid, op, 0, grid.num_nodes());
+  collide_range(grid, 0.8, 0, grid.num_nodes(), &op);
   EXPECT_NEAR(grid.total_mass(), mass, 1e-10);
   const Vec3 q = grid.total_momentum();
   EXPECT_NEAR(q.x, p.x, 1e-11);
@@ -77,7 +77,7 @@ TEST(Mrt, ForceAddsExactlyOneFPerNode) {
   const Vec3 force{1e-3, -2e-3, 5e-4};
   grid.reset_forces(force);
   const MrtOperator op(MrtRelaxation::from_tau(0.9));
-  mrt_collide_range(grid, op, 0, grid.num_nodes());
+  collide_range(grid, 0.9, 0, grid.num_nodes(), &op);
   const Vec3 p = grid.total_momentum();
   EXPECT_NEAR(p.x, 64 * force.x, 1e-12);
   EXPECT_NEAR(p.y, 64 * force.y, 1e-12);
@@ -88,7 +88,7 @@ TEST(Mrt, EquilibriumIsFixedPoint) {
   const Vec3 u0{0.03, -0.02, 0.01};
   FluidGrid grid(4, 4, 4, 1.1, u0);
   const MrtOperator op(MrtRelaxation::from_tau(0.7));
-  mrt_collide_range(grid, op, 0, grid.num_nodes());
+  collide_range(grid, 0.7, 0, grid.num_nodes(), &op);
   for (Size n = 0; n < grid.num_nodes(); ++n) {
     for (int dir = 0; dir < kQ; ++dir) {
       EXPECT_NEAR(grid.df(dir, n), d3q19::equilibrium(dir, 1.1, u0),
@@ -109,7 +109,7 @@ TEST(Mrt, UniformRatesReduceToBgk) {
   const Real tau = 0.8;
   collide_range(a, tau, 0, a.num_nodes());
   const MrtOperator op(MrtRelaxation::uniform(tau));
-  mrt_collide_range(b, op, 0, b.num_nodes());
+  collide_range(b, tau, 0, b.num_nodes(), &op);
   for (Size n = 0; n < a.num_nodes(); ++n) {
     for (int dir = 0; dir < kQ; ++dir) {
       EXPECT_NEAR(a.df(dir, n), b.df(dir, n), 1e-13)
@@ -123,7 +123,7 @@ TEST(Mrt, SkipsSolidNodes) {
   grid.set_solid(5, true);
   grid.df(3, 5) = 99.0;
   const MrtOperator op(MrtRelaxation::from_tau(0.8));
-  mrt_collide_range(grid, op, 0, grid.num_nodes());
+  collide_range(grid, 0.8, 0, grid.num_nodes(), &op);
   EXPECT_EQ(grid.df(3, 5), 99.0);
 }
 
@@ -142,7 +142,7 @@ TEST(Mrt, PoiseuilleViscosityMatchesSNu) {
   const MrtOperator op(MrtRelaxation::from_tau(kTau));  // split rates
   for (int s = 0; s < 1200; ++s) {
     grid.reset_forces({kForce, 0.0, 0.0});
-    mrt_collide_range(grid, op, 0, grid.num_nodes());
+    collide_range(grid, kTau, 0, grid.num_nodes(), &op);
     stream_x_slab(grid, 0, kNx);
     update_velocity_range(grid, 0, grid.num_nodes());
     copy_distributions_range(grid, 0, grid.num_nodes());
