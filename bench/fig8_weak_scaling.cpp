@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
                       static_cast<Real>(edge) / 2.0 - 5.0,
                       static_cast<Real>(edge) / 2.0 - 5.0};
     p.num_threads = threads;
-    p.cube_size = 8;  // bench/ablation_cube_size shows k=8 optimal here
+    p.cube_size = 8;  // on the plateau of bench/ablation_cube_size
 
     double omp_seconds, cube_seconds;
     {

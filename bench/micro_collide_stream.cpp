@@ -7,7 +7,12 @@
 //     a pure in-place collide over whole direction planes,
 //   * stream_only    — stream_x_slab (kernel 6) alone,
 //   * fused_scalar   — the fused sweep with the vector path disabled,
-//   * fused_simd     — the fused sweep as the solvers run it.
+//   * fused_simd     — the fused sweep as the solvers run it,
+//   * cube_fused_simd  — the cube sweep (cube_collide_stream over every
+//     cube, cube size 8) on the same grid and state, as CubeSolver runs it,
+//   * cube_stream_only — its push alone (cube_stream over every cube).
+//
+// The cube rows need an edge divisible by 8; other edges leave them out.
 //
 // The collide_scalar vs collide_simd gap is the pure SIMD win; the
 // fused_scalar vs fused_simd gap is what survives boundary handling and
@@ -24,6 +29,8 @@
 #include <vector>
 
 #include "common/timer.hpp"
+#include "cube/cube_grid.hpp"
+#include "cube/cube_kernels.hpp"
 #include "lbm/collision.hpp"
 #include "lbm/d3q19.hpp"
 #include "lbm/fluid_grid.hpp"
@@ -134,6 +141,23 @@ int main(int argc, char** argv) {
                                        /*simd=*/true);
            grid.swap_buffers();
          }));
+  constexpr Index kCubeSize = 8;
+  if (edge % kCubeSize == 0) {
+    CubeGrid cubes(edge, edge, edge, kCubeSize);
+    cubes.from_planar(grid);
+    record("cube_fused_simd", measure([&] {
+             for (Size c = 0; c < cubes.num_cubes(); ++c) {
+               cube_collide_stream(cubes, tau, c, /*simd=*/true);
+             }
+             cubes.swap_df_buffers();
+           }));
+    record("cube_stream_only", measure([&] {
+             for (Size c = 0; c < cubes.num_cubes(); ++c) {
+               cube_stream(cubes, c);
+             }
+             cubes.swap_df_buffers();
+           }));
+  }
 
   {
     std::ofstream json("micro_collide_stream.json");

@@ -103,8 +103,9 @@ struct SimulationParams {
   bool fused_step = true;
 
   /// Vectorized fused sweep (default). When true, the fused kernels hand
-  /// contiguous solid-free z-runs to the SIMD lane-block collision kernels
-  /// (simd_kernels.hpp); when false they run the scalar per-node loop.
+  /// contiguous solid-free z-runs (planar) or whole cubes to the SIMD
+  /// lane-block collision kernels (simd_kernels.hpp); when false they
+  /// collide node by node.
   /// Kept selectable for A/B verification and for the bit-exactness legs
   /// of the fused-equivalence suite.
   bool simd_step = true;

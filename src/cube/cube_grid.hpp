@@ -272,6 +272,12 @@ class CubeGrid {
     return solid_[cube * m_ + local] != 0;
   }
 
+  /// The cube's m solid bytes in local node order (nonzero = solid): the
+  /// mask the cube push cuts rows by and kernel 7 reads per lane.
+  const std::uint8_t* solid_mask(Size cube) const {
+    return solid_.data() + cube * m_;
+  }
+
   /// Moving lid at the z = nz-1 plane (see FluidGrid::set_lid_velocity).
   void set_lid_velocity(const Vec3& u) {
     lid_velocity_ = u;
@@ -285,7 +291,10 @@ class CubeGrid {
   bool cube_has_solid(Size cube) const { return cube_has_solid_[cube] != 0; }
 
   /// True if neither `cube` nor any of its 26 neighbours contains a solid
-  /// node — the precondition for the branch-free streaming fast path.
+  /// node. No kernel path depends on it any more (every cube collides
+  /// through the same lane block and push); it stays as a workload
+  /// statistic: the benchmark reports it as cube.solid_free_cubes, and
+  /// its self-test expects 256 of cube_channel's 1024 cubes.
   bool solid_free_region(Size cube) const;
 
   // --- whole-grid operations -------------------------------------------------

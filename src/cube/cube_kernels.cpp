@@ -11,6 +11,7 @@
 #include "lbm/collision.hpp"
 #include "lbm/d3q19.hpp"
 #include "lbm/fluid_grid.hpp"
+#include "lbm/macroscopic.hpp"
 #include "lbm/simd_kernels.hpp"
 #include "parallel/instrumentation.hpp"
 
@@ -78,234 +79,59 @@ Real lid_correction(const Vec3& lid_velocity, int dir) {
          dot(c(dir), lid_velocity);
 }
 
-/// Streaming fast path for cubes that contain no solid node themselves:
-/// every direction's push decomposes into at most eight rectangular
-/// regions. Regions whose destination cube is also solid-free are strided
-/// row copies with no per-node branching; regions landing in a cube with
-/// walls fall back to per-node bounce-back checks.
-void stream_cube_fast(CubeGrid& grid, Size cube) {
+/// Kernel 6 on one cube, the one push every cube sweep shares: stream
+/// the cube's 19 post-collision planes `from[dir]` (its own df slots, or
+/// a collided scratch block) into the df_new field at slot base
+/// `dst_base` of this cube and its 26 neighbours.
+///
+/// Each direction's push splits into at most eight rectangular regions
+/// (axis_segments). Between two solid-free cubes a region is plain
+/// memcpys: per z-row, or per y-range for cz = 0, or one per x-slab when
+/// cy = 0 as well. Otherwise each z-row is cut into runs of nodes with
+/// the same (source solid, destination solid) pair:
+///   - fluid -> fluid: one memcpy;
+///   - fluid -> solid: half-way bounce-back, one contiguous memcpy into
+///     the opposite plane at the source nodes, less the moving-lid
+///     correction for a target on the lid plane;
+///   - solid sources push nothing. Their 19 dst slots are zeroed instead,
+///     so the post-swap df keeps the reference invariant df[solid] == 0
+///     (nothing else ever writes them).
+/// Every dst slot has exactly one writer, so the order is free and the
+/// result is bit-identical to the planar sweep's per-node pushes.
+void push_cube(CubeGrid& grid, Size cube, const Real* const* from,
+               Size dst_base) {
   using namespace d3q19;
   const Index k = grid.cube_size();
+  const Size ks = static_cast<Size>(k);
   const Size m = grid.nodes_per_cube();
+  const std::uint8_t* solid = grid.solid_mask(cube);
+  const bool clear = !grid.cube_has_solid(cube);
   const bool has_lid = grid.has_lid();
-  const Index ncz = grid.cubes_z();
   // Global z of this cube's first layer (for lid-plane detection).
-  const Index gz0 = (static_cast<Index>(cube) % ncz) * k;
-
-  // Rest particle: whole-slot copy.
-  std::memcpy(grid.slot(cube, grid.df_new_slot_base()),
-              grid.slot(cube, grid.df_slot_base()), m * sizeof(Real));
-
-  for (int dir = 1; dir < kQ; ++dir) {
-    const Real* src_plane =
-        grid.slot(cube, grid.df_slot_base() + static_cast<Size>(dir));
-    Real* own_new_opp = grid.slot(
-        cube, grid.df_new_slot_base() + static_cast<Size>(opposite(dir)));
-    AxisSegment xs[2], ys[2], zs[2];
-    const int nxs = axis_segments(k, cx[static_cast<Size>(dir)], xs);
-    const int nys = axis_segments(k, cy[static_cast<Size>(dir)], ys);
-    const int nzs = axis_segments(k, cz[static_cast<Size>(dir)], zs);
-    for (int ix = 0; ix < nxs; ++ix) {
-      for (int iy = 0; iy < nys; ++iy) {
-        for (int iz = 0; iz < nzs; ++iz) {
-          const AxisSegment& sx = xs[ix];
-          const AxisSegment& sy = ys[iy];
-          const AxisSegment& sz = zs[iz];
-          const Size dest_cube =
-              (sx.dc == 0 && sy.dc == 0 && sz.dc == 0)
-                  ? cube
-                  : grid.neighbor_cube(cube, sx.dc, sy.dc, sz.dc);
-          Real* dst_plane = grid.slot(
-              dest_cube, grid.df_new_slot_base() + static_cast<Size>(dir));
-          if (!grid.cube_has_solid(dest_cube)) {
-            const Size row_len = static_cast<Size>(sz.hi - sz.lo + 1);
-            for (Index x = sx.lo; x <= sx.hi; ++x) {
-              for (Index y = sy.lo; y <= sy.hi; ++y) {
-                const Size src_row = grid.local_id(x, y, sz.lo);
-                const Size dst_row = grid.local_id(
-                    x + sx.shift, y + sy.shift, sz.lo + sz.shift);
-                std::memcpy(dst_plane + dst_row, src_plane + src_row,
-                            row_len * sizeof(Real));
-              }
-            }
-          } else {
-            // Destination cube has walls: per-node bounce-back checks.
-            for (Index x = sx.lo; x <= sx.hi; ++x) {
-              for (Index y = sy.lo; y <= sy.hi; ++y) {
-                for (Index z = sz.lo; z <= sz.hi; ++z) {
-                  const Size src = grid.local_id(x, y, z);
-                  const Size dst = grid.local_id(
-                      x + sx.shift, y + sy.shift, z + sz.shift);
-                  if (grid.solid(dest_cube, dst)) {
-                    Real v = src_plane[src];
-                    if (has_lid &&
-                        gz0 + sz.dc * k + z + sz.shift ==
-                            grid.nz() - 1) {
-                      v -= lid_correction(grid.lid_velocity(), dir);
-                    }
-                    own_new_opp[src] = v;
-                  } else {
-                    dst_plane[dst] = src_plane[src];
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void cube_stream(CubeGrid& grid, Size cube) {
-  using namespace d3q19;
-  // Streaming also writes neighbour cubes' df_new, but each
-  // (direction, destination-node) slot has a unique source, so the
-  // pushes are commutative scatters for the race detector and only the
-  // *own-cube* ownership and the phase are checked.
-  LBMIB_INSTRUMENT(
-      inst::cube_kernel(grid, cube, StepPhase::kCollideStream,
-                        RaceField::kDfNew, RaceAccess::kScatter,
-                        "cube_stream: df_new push");
-      inst::cube_access(grid, cube, RaceField::kDf, RaceAccess::kRead,
-                        "cube_stream: df read");
-      inst::cube_scatter_neighborhood(grid, cube, RaceField::kDfNew,
-                                      "cube_stream: df_new push");)
-  if (!grid.cube_has_solid(cube)) {
-    stream_cube_fast(grid, cube);
-    return;
-  }
-  const Index k = grid.cube_size();
-  const bool has_lid = grid.has_lid();
   const Index gz0 = (static_cast<Index>(cube) % grid.cubes_z()) * k;
-
-  // In-cube destinations differ from the source's local id by a constant
-  // per-direction stride; cross-cube pushes use the precomputed
-  // 27-neighbour table and only wrap the local coordinate by +-k.
-  std::ptrdiff_t local_offset[kQ];
+  Real* own[kQ];
   for (int dir = 0; dir < kQ; ++dir) {
-    local_offset[dir] =
-        (static_cast<std::ptrdiff_t>(cx[static_cast<Size>(dir)]) * k +
-         cy[static_cast<Size>(dir)]) *
-            k +
-        cz[static_cast<Size>(dir)];
+    own[dir] = grid.slot(cube, dst_base + static_cast<Size>(dir));
   }
 
-  for (Index lx = 0; lx < k; ++lx) {
-    const bool x_interior = (lx > 0 && lx < k - 1);
-    for (Index ly = 0; ly < k; ++ly) {
-      const bool y_interior = (ly > 0 && ly < k - 1);
-      for (Index lz = 0; lz < k; ++lz) {
-        const Size local = grid.local_id(lx, ly, lz);
-        if (grid.solid(cube, local)) continue;
-        grid.df_new(cube, 0, local) = grid.df(cube, 0, local);
-
-        if (x_interior && y_interior && lz > 0 && lz < k - 1) {
-          // Fast path: every destination stays inside this cube.
-          for (int dir = 1; dir < kQ; ++dir) {
-            const Size dest_local = static_cast<Size>(
-                static_cast<std::ptrdiff_t>(local) + local_offset[dir]);
-            if (grid.solid(cube, dest_local)) {
-              Real v = grid.df(cube, dir, local);
-              if (has_lid && gz0 + lz + cz[static_cast<Size>(dir)] ==
-                                 grid.nz() - 1) {
-                v -= lid_correction(grid.lid_velocity(), dir);
-              }
-              grid.df_new(cube, opposite(dir), local) = v;
-            } else {
-              grid.df_new(cube, dir, dest_local) =
-                  grid.df(cube, dir, local);
-            }
-          }
-        } else {
-          for (int dir = 1; dir < kQ; ++dir) {
-            Index tx = lx + cx[static_cast<Size>(dir)];
-            Index ty = ly + cy[static_cast<Size>(dir)];
-            Index tz = lz + cz[static_cast<Size>(dir)];
-            int dcx = 0, dcy = 0, dcz = 0;
-            if (tx < 0) {
-              tx += k;
-              dcx = -1;
-            } else if (tx >= k) {
-              tx -= k;
-              dcx = 1;
-            }
-            if (ty < 0) {
-              ty += k;
-              dcy = -1;
-            } else if (ty >= k) {
-              ty -= k;
-              dcy = 1;
-            }
-            if (tz < 0) {
-              tz += k;
-              dcz = -1;
-            } else if (tz >= k) {
-              tz -= k;
-              dcz = 1;
-            }
-            const Size dest_cube =
-                (dcx | dcy | dcz) == 0
-                    ? cube
-                    : grid.neighbor_cube(cube, dcx, dcy, dcz);
-            const Size dest_local = grid.local_id(tx, ty, tz);
-            if (grid.solid(dest_cube, dest_local)) {
-              Real v = grid.df(cube, dir, local);
-              if (has_lid && gz0 + dcz * k + tz == grid.nz() - 1) {
-                v -= lid_correction(grid.lid_velocity(), dir);
-              }
-              grid.df_new(cube, opposite(dir), local) = v;
-            } else {
-              grid.df_new(dest_cube, dir, dest_local) =
-                  grid.df(cube, dir, local);
-            }
-          }
-        }
+  // Rest particle, and the solid sources' zeroed slots.
+  if (clear) {
+    std::memcpy(own[0], from[0], m * sizeof(Real));
+  } else {
+    for (Size l = 0; l < m; ++l) {
+      if (solid[l] != 0) {
+        for (int dir = 0; dir < kQ; ++dir) own[dir][l] = 0.0;
+      } else {
+        own[0][l] = from[0][l];
       }
     }
   }
-}
 
-namespace {
-
-/// Vector fast path for a solid-free region (cube + all 26 neighbours
-/// hold no solid node): collide the whole cube through the lane-block
-/// kernels into a thread-local scratch block — every node participates,
-/// so the block sees perfectly contiguous input — then scatter with the
-/// same rectangular region decomposition as stream_cube_fast, where every
-/// region is a branch-free strided row copy (no bounce-back and no lid
-/// plane can be in reach without a wall). Values are byte-copies of the
-/// lane kernels' output, so the path is exactly as bit-identical to the
-/// scalar sweep as the lane kernels themselves.
-void cube_collide_stream_vector(CubeGrid& grid, Real tau,
-                                const MrtOperator* mrt, Size cube,
-                                Size src_base, Size dst_base) {
-  using namespace d3q19;
-  const Index k = grid.cube_size();
-  const Size m = grid.nodes_per_cube();
-  const Size stride = (m + 7) / 8 * 8;  // keep scratch planes 64B-aligned
-  thread_local AlignedBuffer<Real> scratch;
-  if (scratch.size() < static_cast<Size>(kQ) * stride) {
-    scratch.reset_uninitialized(static_cast<Size>(kQ) * stride);
-  }
-
-  const Real* src[kQ];
-  Real* post[kQ];
-  for (int dir = 0; dir < kQ; ++dir) {
-    src[dir] = grid.slot(cube, src_base + static_cast<Size>(dir));
-    post[dir] = scratch.data() + static_cast<Size>(dir) * stride;
-  }
-  const Real* fx = grid.slot(cube, CubeGrid::kFxSlot);
-  const Real* fy = grid.slot(cube, CubeGrid::kFySlot);
-  const Real* fz = grid.slot(cube, CubeGrid::kFzSlot);
-  fused_block(src, post, fx, fy, fz, m, tau, mrt);
-
-  // Rest particle: whole-slot copy.
-  std::memcpy(grid.slot(cube, dst_base), post[0], m * sizeof(Real));
   for (int dir = 1; dir < kQ; ++dir) {
-    const Real* src_plane = post[dir];
+    const Real* src_plane = from[dir];
+    Real* own_opp = own[opposite(dir)];
+    const Real lid_corr =
+        has_lid ? lid_correction(grid.lid_velocity(), dir) : Real{0};
     AxisSegment xs[2], ys[2], zs[2];
     const int nxs = axis_segments(k, cx[static_cast<Size>(dir)], xs);
     const int nys = axis_segments(k, cy[static_cast<Size>(dir)], ys);
@@ -322,14 +148,70 @@ void cube_collide_stream_vector(CubeGrid& grid, Real tau,
                   : grid.neighbor_cube(cube, sx.dc, sy.dc, sz.dc);
           Real* dst_plane =
               grid.slot(dest_cube, dst_base + static_cast<Size>(dir));
-          const Size row_len = static_cast<Size>(sz.hi - sz.lo + 1);
+          const Size nx_seg = static_cast<Size>(sx.hi - sx.lo + 1);
+          const Size ny_seg = static_cast<Size>(sy.hi - sy.lo + 1);
+          const Size nz_seg = static_cast<Size>(sz.hi - sz.lo + 1);
+          if (clear && !grid.cube_has_solid(dest_cube)) {
+            if (nz_seg == ks && ny_seg == ks) {
+              // cy = cz = 0: the x-slab is contiguous on both sides.
+              std::memcpy(dst_plane + grid.local_id(sx.lo + sx.shift, 0, 0),
+                          src_plane + grid.local_id(sx.lo, 0, 0),
+                          nx_seg * ks * ks * sizeof(Real));
+            } else if (nz_seg == ks) {
+              // cz = 0: each x's y-range is contiguous on both sides.
+              for (Index x = sx.lo; x <= sx.hi; ++x) {
+                std::memcpy(
+                    dst_plane +
+                        grid.local_id(x + sx.shift, sy.lo + sy.shift, 0),
+                    src_plane + grid.local_id(x, sy.lo, 0),
+                    ny_seg * ks * sizeof(Real));
+              }
+            } else {
+              for (Index x = sx.lo; x <= sx.hi; ++x) {
+                for (Index y = sy.lo; y <= sy.hi; ++y) {
+                  std::memcpy(dst_plane + grid.local_id(x + sx.shift,
+                                                        y + sy.shift,
+                                                        sz.lo + sz.shift),
+                              src_plane + grid.local_id(x, y, sz.lo),
+                              nz_seg * sizeof(Real));
+                }
+              }
+            }
+            continue;
+          }
+          // Source node z (segment-relative) lands at z in the
+          // destination row; the lid plane is segment node lid_z, out of
+          // range when this region cannot reach it.
+          const Index lid_z =
+              grid.nz() - 1 - (gz0 + sz.dc * k + sz.lo + sz.shift);
+          const std::uint8_t* dest_solid = grid.solid_mask(dest_cube);
           for (Index x = sx.lo; x <= sx.hi; ++x) {
             for (Index y = sy.lo; y <= sy.hi; ++y) {
-              const Size src_row = grid.local_id(x, y, sz.lo);
-              const Size dst_row = grid.local_id(
-                  x + sx.shift, y + sy.shift, sz.lo + sz.shift);
-              std::memcpy(dst_plane + dst_row, src_plane + src_row,
-                          row_len * sizeof(Real));
+              const Size s0 = grid.local_id(x, y, sz.lo);
+              const Size d0 = grid.local_id(x + sx.shift, y + sy.shift,
+                                            sz.lo + sz.shift);
+              for (Size z = 0; z < nz_seg;) {
+                const std::uint8_t ss = solid[s0 + z];
+                const std::uint8_t ds = dest_solid[d0 + z];
+                Size end = z + 1;
+                while (end < nz_seg && solid[s0 + end] == ss &&
+                       dest_solid[d0 + end] == ds) {
+                  ++end;
+                }
+                const Size n = end - z;
+                if (ss == 0 && ds == 0) {
+                  std::memcpy(dst_plane + d0 + z, src_plane + s0 + z,
+                              n * sizeof(Real));
+                } else if (ss == 0) {
+                  std::memcpy(own_opp + s0 + z, src_plane + s0 + z,
+                              n * sizeof(Real));
+                  if (has_lid && lid_z >= static_cast<Index>(z) &&
+                      lid_z < static_cast<Index>(end)) {
+                    own_opp[s0 + static_cast<Size>(lid_z)] -= lid_corr;
+                  }
+                }
+                z = end;
+              }
             }
           }
         }
@@ -338,18 +220,36 @@ void cube_collide_stream_vector(CubeGrid& grid, Real tau,
   }
 }
 
-/// Fused kernels 5+6 on one cube: collide each node's 19 populations in
-/// registers (BGK when `mrt` is null) and push them straight into the
-/// df_new field at slot base `dst_base`, reading df from `src_base`. The
-/// source field is left untouched, which is what lets kernel 9 become
-/// CubeGrid::swap_df_buffers. Streaming structure (interior fast path,
-/// cross-cube pushes, half-way bounce-back, moving-lid correction) mirrors
-/// cube_stream; solid nodes' dst slots are zeroed so the post-swap df
-/// keeps the reference invariant df[solid] == 0.
-void cube_collide_stream_impl(CubeGrid& grid, Real tau,
-                              const MrtOperator* mrt, Size cube,
-                              Size src_base, Size dst_base, bool simd) {
-  using namespace d3q19;
+}  // namespace
+
+void cube_stream(CubeGrid& grid, Size cube) {
+  // Streaming also writes neighbour cubes' df_new, but each
+  // (direction, destination-node) slot has a unique source, so the
+  // pushes are commutative scatters for the race detector and only the
+  // *own-cube* ownership and the phase are checked.
+  LBMIB_INSTRUMENT(
+      inst::cube_kernel(grid, cube, StepPhase::kCollideStream,
+                        RaceField::kDfNew, RaceAccess::kScatter,
+                        "cube_stream: df_new push");
+      inst::cube_access(grid, cube, RaceField::kDf, RaceAccess::kRead,
+                        "cube_stream: df read");
+      inst::cube_scatter_neighborhood(grid, cube, RaceField::kDfNew,
+                                      "cube_stream: df_new push");)
+  const Real* df[kQ];
+  for (int dir = 0; dir < kQ; ++dir) {
+    df[dir] = grid.slot(cube, grid.df_slot_base() + static_cast<Size>(dir));
+  }
+  push_cube(grid, cube, df, grid.df_new_slot_base());
+}
+
+void cube_collide_stream(CubeGrid& grid, Real tau, Size cube, bool simd,
+                         const MrtOperator* mrt) {
+  cube_collide_stream(grid, tau, cube, grid.df_slot_base(),
+                      grid.df_new_slot_base(), simd, mrt);
+}
+
+void cube_collide_stream(CubeGrid& grid, Real tau, Size cube, Size src_base,
+                         Size dst_base, bool simd, const MrtOperator* mrt) {
   // Shadow fields are roles relative to the grid's current parity, like
   // the implicit kernels use: any parity change emits a write-all on both
   // fields, so role labels stay physically consistent between changes,
@@ -371,132 +271,39 @@ void cube_collide_stream_impl(CubeGrid& grid, Real tau,
                         "cube_collide_stream: force read");
       inst::cube_scatter_neighborhood(grid, cube, dst_field,
                                       "cube_collide_stream: df_new push");)
-  const Index k = grid.cube_size();
-  const bool has_lid = grid.has_lid();
-  const Index gz0 = (static_cast<Index>(cube) % grid.cubes_z()) * k;
-  // No solid node in this cube or any neighbour means no push can need
-  // bounce-back (and without walls there is no lid plane either), so
-  // every per-destination solid test below short-circuits to false.
-  const bool solid_free = grid.solid_free_region(cube);
-  if (simd && solid_free) {
-    cube_collide_stream_vector(grid, tau, mrt, cube, src_base, dst_base);
-    return;
+  // Collide the whole cube into a thread-local block (planes padded to
+  // 64 B), then push it: the block kernel sees one contiguous run of m
+  // nodes, and the source field stays untouched for the O(1) swap.
+  const Size m = grid.nodes_per_cube();
+  const Size stride = (m + 7) / 8 * 8;
+  thread_local AlignedBuffer<Real> scratch;
+  if (scratch.size() < static_cast<Size>(kQ) * stride) {
+    scratch.reset_uninitialized(static_cast<Size>(kQ) * stride);
   }
-
   const Real* src[kQ];
-  Real* own_new[kQ];
+  Real* post[kQ];
   for (int dir = 0; dir < kQ; ++dir) {
     src[dir] = grid.slot(cube, src_base + static_cast<Size>(dir));
-    own_new[dir] = grid.slot(cube, dst_base + static_cast<Size>(dir));
+    post[dir] = scratch.data() + static_cast<Size>(dir) * stride;
   }
   const Real* fx = grid.slot(cube, CubeGrid::kFxSlot);
   const Real* fy = grid.slot(cube, CubeGrid::kFySlot);
   const Real* fz = grid.slot(cube, CubeGrid::kFzSlot);
-
-  std::ptrdiff_t local_offset[kQ];
-  for (int dir = 0; dir < kQ; ++dir) {
-    local_offset[dir] =
-        (static_cast<std::ptrdiff_t>(cx[static_cast<Size>(dir)]) * k +
-         cy[static_cast<Size>(dir)]) *
-            k +
-        cz[static_cast<Size>(dir)];
-  }
-
-  for (Index lx = 0; lx < k; ++lx) {
-    const bool x_interior = (lx > 0 && lx < k - 1);
-    for (Index ly = 0; ly < k; ++ly) {
-      const bool y_interior = (ly > 0 && ly < k - 1);
-      for (Index lz = 0; lz < k; ++lz) {
-        const Size local = grid.local_id(lx, ly, lz);
-        if (!solid_free && grid.solid(cube, local)) {
-          // Nothing ever pushes into a solid node (pushes toward it turn
-          // into bounce-back at the source), so its dst slots would go
-          // stale across swaps; zero them here. Unique writer: only the
-          // owning cube's sweep touches a solid node's slots.
-          for (int dir = 0; dir < kQ; ++dir) own_new[dir][local] = 0.0;
-          continue;
-        }
-        Real g[kQ];
-        for (int dir = 0; dir < kQ; ++dir) g[dir] = src[dir][local];
-        collide_node(g, tau, mrt, {fx[local], fy[local], fz[local]});
-        own_new[0][local] = g[0];
-
-        if (x_interior && y_interior && lz > 0 && lz < k - 1) {
-          for (int dir = 1; dir < kQ; ++dir) {
-            const Size dest_local = static_cast<Size>(
-                static_cast<std::ptrdiff_t>(local) + local_offset[dir]);
-            if (!solid_free && grid.solid(cube, dest_local)) {
-              Real v = g[dir];
-              if (has_lid && gz0 + lz + cz[static_cast<Size>(dir)] ==
-                                 grid.nz() - 1) {
-                v -= lid_correction(grid.lid_velocity(), dir);
-              }
-              own_new[opposite(dir)][local] = v;
-            } else {
-              own_new[dir][dest_local] = g[dir];
-            }
-          }
-        } else {
-          for (int dir = 1; dir < kQ; ++dir) {
-            Index tx = lx + cx[static_cast<Size>(dir)];
-            Index ty = ly + cy[static_cast<Size>(dir)];
-            Index tz = lz + cz[static_cast<Size>(dir)];
-            int dcx = 0, dcy = 0, dcz = 0;
-            if (tx < 0) {
-              tx += k;
-              dcx = -1;
-            } else if (tx >= k) {
-              tx -= k;
-              dcx = 1;
-            }
-            if (ty < 0) {
-              ty += k;
-              dcy = -1;
-            } else if (ty >= k) {
-              ty -= k;
-              dcy = 1;
-            }
-            if (tz < 0) {
-              tz += k;
-              dcz = -1;
-            } else if (tz >= k) {
-              tz -= k;
-              dcz = 1;
-            }
-            const Size dest_cube =
-                (dcx | dcy | dcz) == 0
-                    ? cube
-                    : grid.neighbor_cube(cube, dcx, dcy, dcz);
-            const Size dest_local = grid.local_id(tx, ty, tz);
-            if (!solid_free && grid.solid(dest_cube, dest_local)) {
-              Real v = g[dir];
-              if (has_lid && gz0 + dcz * k + tz == grid.nz() - 1) {
-                v -= lid_correction(grid.lid_velocity(), dir);
-              }
-              own_new[opposite(dir)][local] = v;
-            } else {
-              grid.slot(dest_cube,
-                        dst_base + static_cast<Size>(dir))[dest_local] =
-                  g[dir];
-            }
-          }
-        }
-      }
+  if (simd) {
+    // Solid lanes collide garbage (possibly 0/0) that push_cube never
+    // reads.
+    fused_block(src, post, fx, fy, fz, m, tau, mrt);
+  } else {
+    const std::uint8_t* solid = grid.solid_mask(cube);
+    for (Size local = 0; local < m; ++local) {
+      if (solid[local]) continue;
+      Real g[kQ];
+      for (int dir = 0; dir < kQ; ++dir) g[dir] = src[dir][local];
+      collide_node(g, tau, mrt, {fx[local], fy[local], fz[local]});
+      for (int dir = 0; dir < kQ; ++dir) post[dir][local] = g[dir];
     }
   }
-}
-
-}  // namespace
-
-void cube_collide_stream(CubeGrid& grid, Real tau, Size cube, bool simd,
-                         const MrtOperator* mrt) {
-  cube_collide_stream_impl(grid, tau, mrt, cube, grid.df_slot_base(),
-                           grid.df_new_slot_base(), simd);
-}
-
-void cube_collide_stream(CubeGrid& grid, Real tau, Size cube, Size src_base,
-                         Size dst_base, bool simd, const MrtOperator* mrt) {
-  cube_collide_stream_impl(grid, tau, mrt, cube, src_base, dst_base, simd);
+  push_cube(grid, cube, post, dst_base);
 }
 
 void cube_update_velocity(CubeGrid& grid, Size cube) {
@@ -504,7 +311,6 @@ void cube_update_velocity(CubeGrid& grid, Size cube) {
 }
 
 void cube_update_velocity(CubeGrid& grid, Size cube, Size df_new_base) {
-  using namespace d3q19;
   LBMIB_INSTRUMENT(
       const RaceField src_field = (df_new_base == grid.df_slot_base())
                                       ? RaceField::kDf
@@ -516,41 +322,19 @@ void cube_update_velocity(CubeGrid& grid, Size cube, Size df_new_base) {
                         "cube_update_velocity: streamed df read");
       inst::cube_access(grid, cube, RaceField::kForce, RaceAccess::kRead,
                         "cube_update_velocity: force read");)
-  const Size m = grid.nodes_per_cube();
   const Real* planes[kQ];
   for (int i = 0; i < kQ; ++i) {
     planes[i] = grid.slot(cube, df_new_base + static_cast<Size>(i));
   }
-  const Real* fx = grid.slot(cube, CubeGrid::kFxSlot);
-  const Real* fy = grid.slot(cube, CubeGrid::kFySlot);
-  const Real* fz = grid.slot(cube, CubeGrid::kFzSlot);
-  Real* rho_out = grid.slot(cube, CubeGrid::kRhoSlot);
-  Real* ux_out = grid.slot(cube, CubeGrid::kUxSlot);
-  Real* uy_out = grid.slot(cube, CubeGrid::kUySlot);
-  Real* uz_out = grid.slot(cube, CubeGrid::kUzSlot);
-  for (Size local = 0; local < m; ++local) {
-    if (grid.solid(cube, local)) {
-      ux_out[local] = uy_out[local] = uz_out[local] = 0.0;
-      continue;
-    }
-    Real rho = 0.0;
-    Vec3 mom{};
-    for (int i = 0; i < kQ; ++i) {
-      const Real gi = planes[i][local];
-      rho += gi;
-      mom.x += gi * cx[static_cast<Size>(i)];
-      mom.y += gi * cy[static_cast<Size>(i)];
-      mom.z += gi * cz[static_cast<Size>(i)];
-    }
-    // Same expression as the planar kernel (Vec3 division multiplies by
-    // the reciprocal) so both layouts produce bit-identical velocities.
-    const Vec3 u =
-        (mom + Real{0.5} * Vec3{fx[local], fy[local], fz[local]}) / rho;
-    rho_out[local] = rho;
-    ux_out[local] = u.x;
-    uy_out[local] = u.y;
-    uz_out[local] = u.z;
-  }
+  update_moments(planes, grid.solid_mask(cube),
+                 grid.slot(cube, CubeGrid::kFxSlot),
+                 grid.slot(cube, CubeGrid::kFySlot),
+                 grid.slot(cube, CubeGrid::kFzSlot),
+                 grid.slot(cube, CubeGrid::kRhoSlot),
+                 grid.slot(cube, CubeGrid::kUxSlot),
+                 grid.slot(cube, CubeGrid::kUySlot),
+                 grid.slot(cube, CubeGrid::kUzSlot),
+                 grid.nodes_per_cube());
 }
 
 namespace {

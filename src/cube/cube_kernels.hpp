@@ -33,20 +33,20 @@ void cube_collide(CubeGrid& grid, Real tau, Size cube,
                   const MrtOperator* mrt = nullptr);
 
 /// Kernel 6 on one cube: push-stream df into df_new (own and neighbour
-/// cubes), with half-way bounce-back at solid nodes.
+/// cubes), with half-way bounce-back at solid nodes and zeroed df_new
+/// slots at solid sources. Every cube sweep streams through this one
+/// push (see push_cube in the implementation).
 void cube_stream(CubeGrid& grid, Size cube);
 
 /// Fused kernels 5+6 on one cube (the params.fused_step pipeline): collide
-/// each node's populations in registers (the same `(tau, mrt)` operator as
-/// cube_collide) and push them straight into df_new, leaving df untouched
-/// so kernel 9 becomes CubeGrid::swap_df_buffers. Bit-identical to
-/// cube_collide + cube_stream (both collide through collide_node). Solid
-/// nodes' df_new slots are zeroed — see the implementation comment. When
-/// `simd` is set, cubes whose 27-cube region is solid-free collide through
-/// the lane-block seam (fused_block) into a thread-local scratch block and
-/// scatter with the same branch-free rectangular row copies as
-/// stream_cube_fast; other cubes (and simd == false, the A/B reference)
-/// take the scalar per-node sweep.
+/// every node of the cube into a thread-local scratch block of 19 k^3
+/// reals with the same `(tau, mrt)` operator as cube_collide, then push
+/// the block exactly as cube_stream pushes df, leaving df untouched so
+/// kernel 9 becomes CubeGrid::swap_df_buffers. With `simd` the block
+/// collides through the lane-block seam (fused_block); without it, through
+/// collide_node per fluid node, which makes this bit-identical to
+/// cube_collide + cube_stream. Every cube takes the same path whatever
+/// solids it or its neighbours hold.
 void cube_collide_stream(CubeGrid& grid, Real tau, Size cube,
                          bool simd = true, const MrtOperator* mrt = nullptr);
 
@@ -58,7 +58,8 @@ void cube_collide_stream(CubeGrid& grid, Real tau, Size cube, Size src_base,
                          Size dst_base, bool simd = true,
                          const MrtOperator* mrt = nullptr);
 
-/// Kernel 7 on one cube: macroscopic density/velocity from df_new + F/2.
+/// Kernel 7 on one cube: macroscopic density/velocity from df_new + F/2,
+/// through the same lane-block update_moments as the planar kernel.
 void cube_update_velocity(CubeGrid& grid, Size cube);
 
 /// Explicit-parity overload: read the streamed field from `df_new_base`.

@@ -1,10 +1,11 @@
 // Lane-block collision kernels for the fused collide-stream hot path.
 //
 // Each function processes `n` contiguous lattice nodes (one z-run of the
-// planar sweep, or a whole solid-free cube) in blocks of simd::kLaneBlock
-// lanes. The 19-direction gather/scatter runs direction-outer so every
-// inner loop is a unit-stride lane loop over contiguous doubles — the
-// shape `#pragma omp simd` vectorizes without gathers.
+// planar sweep, or a whole cube into a scratch block) in blocks of
+// simd::kLaneBlock lanes. The 19-direction gather/scatter runs
+// direction-outer so every inner loop is a unit-stride lane loop over
+// contiguous doubles — the shape `#pragma omp simd` vectorizes without
+// gathers.
 //
 // FP contract: every lane performs *exactly* the operation sequence of the
 // scalar kernels (collide_node_array / MrtOperator::collide_node), and no
@@ -14,10 +15,12 @@
 // vectorized leg of test_fused_equivalence.cpp pin down what the toolchain
 // actually delivers.
 //
-// Callers guarantee: no solid node among the `n` sources nor among any
-// stream destination (dst[dir] already includes the per-direction stream
-// offset), and no moving-lid plane in reach. dst[i] == src[i] for all i is
-// allowed (pure in-place collide).
+// Callers guarantee: no solid node among any stream destination
+// (dst[dir] already includes the per-direction stream offset), and no
+// moving-lid plane in reach. A solid source lane collides garbage
+// (possibly 0/0) that the caller must discard, as the cube sweep does by
+// colliding into a scratch block. dst[i] == src[i] for all i is allowed
+// (pure in-place collide).
 #pragma once
 
 #include "common/types.hpp"

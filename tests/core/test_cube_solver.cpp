@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/cube_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
@@ -63,6 +65,66 @@ TEST(CubeSolver, ChannelFlowMatchesSequential) {
   cube.run(8);
   EXPECT_LT(compare_solvers(seq, cube).max_any(), 1e-11);
 }
+
+/// The benchmark's ib_dense_cube input: two 104x104-node 30x30 sheets in a
+/// 64x48x48 channel, cube 8, leading edges pinned, each sheet origin
+/// shifted by an offset drawn from SplitMix64(seed) in x, y, z order.
+SimulationParams ib_dense_cube_params(std::uint64_t seed) {
+  SimulationParams p = presets::table1_sequential();
+  p.nx = 64;
+  p.ny = 48;
+  p.nz = 48;
+  p.cube_size = 8;
+  p.num_fibers = 104;
+  p.nodes_per_fiber = 104;
+  p.sheet_width = 30.0;
+  p.sheet_height = 30.0;
+  p.sheet_origin = {12.0, 9.0, 9.0};
+  p.pin_mode = PinMode::kLeadingEdge;
+  p.extra_sheets.push_back({104, 104, 30.0, 30.0, {38.0, 9.0, 9.0}, 0.02,
+                            0.002, 0.0, PinMode::kLeadingEdge});
+  SplitMix64 rng(seed);
+  auto offset = [&rng] {
+    const double x = rng.next_double();
+    const double y = rng.next_double();
+    const double z = rng.next_double();
+    return Vec3{x, y, z};
+  };
+  p.sheet_origin += offset();
+  for (SheetSpec& s : p.extra_sheets) s.origin += offset();
+  p.validate();
+  return p;
+}
+
+class CubeSolverDenseSheets : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(CubeSolverDenseSheets, MatchesSequentialExactly) {
+  // Every cube collides through the same lane block as the planar sweep's
+  // rows, so even with SIMD on and walls in every boundary cube the cube
+  // solver must reproduce the sequential state bit for bit. These seeds
+  // drifted by 1e-17 while only solid-free regions took the lane path.
+  constexpr Index kSteps = 3;
+  const SimulationParams p = ib_dense_cube_params(GetParam());
+  ASSERT_TRUE(p.simd_step);
+  SequentialSolver seq(p);
+  seq.run(kSteps);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    SimulationParams pt = p;
+    pt.num_threads = threads;
+    CubeSolver cube(pt);
+    cube.run(kSteps);
+    const StateDiff diff = compare_solvers(seq, cube);
+    EXPECT_EQ(diff.max_any(), 0.0) << diff.to_string();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CubeSolverDenseSheets,
+                         ::testing::Values<std::uint64_t>(503, 504, 705),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
 
 TEST(CubeSolver, SpinBarrierVariantMatchesSequential) {
   SimulationParams p = small_params();
