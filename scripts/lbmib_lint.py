@@ -443,10 +443,77 @@ NONDET_RANDOM_DEVICE = re.compile(r"std::random_device\b")
 NONDET_PTR_KEYED = re.compile(
     r"std::(map|set|multimap|multiset)\s*<\s*[^,>]*\*"
 )
+# Floating-point atomic accumulation into simulation state: the adds land
+# in schedule order, so the sums differ from run to run. Scoped to the
+# simulation modules (and this check's fixtures); src/obs counters are
+# telemetry, not simulation state, and stay allowed.
+NONDET_FP_ATOMIC_SCOPE = re.compile(
+    r"(^|/)(src/(?:lbm|ib|cube|core)/[^/]+"
+    r"|tests/lint/fixtures/nondeterminism_[a-z]+\.cpp)$"
+)
+NONDET_FP_TYPE = r"\s*<\s*(?:Real|double|float)\s*>"
+NONDET_FP_ATOMIC_REF = re.compile(r"std::atomic_ref" + NONDET_FP_TYPE)
+# A name declared as (a container of) std::atomic<FP>: the first
+# identifier after the type that ends a declarator.
+NONDET_FP_ATOMIC_DECL = re.compile(
+    r"std::atomic" + NONDET_FP_TYPE + r"[^;]*?\b(\w+)\s*[;{=\[(),]"
+)
+NONDET_ATOMIC_UPDATE = (
+    r"\b{name}\b(?:\s*\[[^\]]*\])*\s*(?:\.|->)\s*"
+    r"(fetch_add|fetch_sub|compare_exchange_weak|compare_exchange_strong)"
+    r"\s*\("
+)
+NONDET_FP_ATOMIC_HINT = (
+    "simulation state must sum in a fixed order: give each fluid node "
+    "one writer (owner computes, DESIGN.md §7); only src/obs telemetry "
+    "may accumulate atomically"
+)
+
+
+def check_fp_atomics(ctx: FileCtx) -> list[Diag]:
+    if not NONDET_FP_ATOMIC_SCOPE.search(ctx.rel):
+        return []
+    names = {
+        m.group(1)
+        for text in ctx.stripped
+        for m in NONDET_FP_ATOMIC_DECL.finditer(text)
+    }
+    updates = [
+        re.compile(NONDET_ATOMIC_UPDATE.format(name=re.escape(n)))
+        for n in sorted(names)
+    ]
+    out = []
+    for idx, text in enumerate(ctx.stripped):
+        for m in NONDET_FP_ATOMIC_REF.finditer(text):
+            out.append(
+                Diag(
+                    ctx.rel,
+                    idx + 1,
+                    m.start() + 1,
+                    "lbmib-nondeterminism",
+                    "std::atomic_ref over a floating-point value "
+                    "accumulates in schedule order; "
+                    + NONDET_FP_ATOMIC_HINT,
+                )
+            )
+        for update in updates:
+            for m in update.finditer(text):
+                out.append(
+                    Diag(
+                        ctx.rel,
+                        idx + 1,
+                        m.start() + 1,
+                        "lbmib-nondeterminism",
+                        "floating-point std::atomic updated by "
+                        f"'{m.group(1)}' accumulates in schedule order; "
+                        + NONDET_FP_ATOMIC_HINT,
+                    )
+                )
+    return out
 
 
 def check_nondeterminism(ctx: FileCtx) -> list[Diag]:
-    out = []
+    out = check_fp_atomics(ctx)
     for idx, text in enumerate(ctx.stripped):
         for m in NONDET_CALL.finditer(text):
             out.append(
@@ -608,6 +675,22 @@ SELF_TESTS = [
         "lbmib-nondeterminism",
         "int f() { return rand(); }\n",
         "int f(lbmib::SplitMix64& rng) { return int(rng.next()); }\n",
+    ),
+    (
+        "lbmib-nondeterminism",  # FP atomics, scoped to simulation state
+        "void f(Real& x, Real v) {\n"
+        "  std::atomic_ref<Real>(x).fetch_add(v);\n}\n",
+        "void f(std::atomic<long>& n) { n.fetch_add(1); }\n",
+        "src/ib/case.cpp",
+    ),
+    (
+        # src/obs telemetry may add atomically: the violating variant
+        # fires only on its rand()
+        "lbmib-nondeterminism",
+        "std::atomic<double> sum;\nvoid f(double v) { sum.fetch_add(v); }\n"
+        "int g() { return rand(); }\n",
+        "std::atomic<double> sum;\nvoid f(double v) { sum.fetch_add(v); }\n",
+        "src/obs/case.cpp",
     ),
     (
         "lbmib-raw-sync",  # NOLINT suppression path

@@ -52,7 +52,7 @@ enum class Phase : int {
   kSwapDf,             ///< kernel 9 as an O(1) buffer swap
   kResetForces,        ///< cube fused pipeline's kernel-9 loop
   kFiberForcesSpread,  ///< distributed kernels 1-4 on the replica
-  kFiberForcesFused,   ///< dataflow kernels 1-4 fused per fiber
+  kFiberForcesFused,   ///< dataflow kernels 1-3 per fiber + owned spread
   kTaskCollideStream,  ///< dataflow COLLIDE+STREAM task
   kTaskUpdateCopy,     ///< dataflow UPDATE+COPY task
   kExchangeHalos,      ///< distributed 8-message halo exchange

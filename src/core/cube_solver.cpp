@@ -52,16 +52,9 @@ void CubeSolver::finish_construction(DistributionPolicy policy) {
   // Precompute the cube -> owner table and each thread's cube and fiber
   // lists. Equivalent to the "if cube2thread(I,J,K) == tid" scan in
   // Algorithm 4, hoisted out of the time loop.
-  cube_owner_.resize(grid_.num_cubes());
-  for (Index cx = 0; cx < grid_.cubes_x(); ++cx) {
-    for (Index cy = 0; cy < grid_.cubes_y(); ++cy) {
-      for (Index cz = 0; cz < grid_.cubes_z(); ++cz) {
-        const int tid = dist_.cube2thread(cx, cy, cz);
-        const Size cube = grid_.cube_id(cx, cy, cz);
-        cube_owner_[cube] = tid;
-        owned_cubes_[static_cast<Size>(tid)].push_back(cube);
-      }
-    }
+  cube_owner_ = dist_.owner_table();
+  for (Size cube = 0; cube < cube_owner_.size(); ++cube) {
+    owned_cubes_[static_cast<Size>(cube_owner_[cube])].push_back(cube);
   }
 #if LBMIB_ACCESS_CHECK_ENABLED
   // Shadow the grid with its cube2thread image so every write hook can

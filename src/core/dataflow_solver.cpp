@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "core/instrument.hpp"
 #include "cube/cube_kernels.hpp"
+#include "cube/distribution.hpp"
 #include "ib/fiber_forces.hpp"
 #include "lbm/boundary.hpp"
 #include "obs/metrics.hpp"
@@ -35,6 +36,13 @@ DataflowCubeSolver::DataflowCubeSolver(const SimulationParams& params)
     : Solver(params),
       grid_(params),
       barrier_(params.num_threads),
+      spread_owner_(CubeDistribution(grid_.cubes_x(), grid_.cubes_y(),
+                                     grid_.cubes_z(),
+                                     fitted_mesh(params.num_threads,
+                                                 grid_.cubes_x(),
+                                                 grid_.cubes_y(),
+                                                 grid_.cubes_z()))
+                        .owner_table()),
       tasks_executed_(static_cast<Size>(params.num_threads), 0) {
   const Size ncubes = grid_.num_cubes();
 
@@ -143,7 +151,7 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
     sync_point("dataflow:step:start", tid, step);
     LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
                      static_cast<std::int64_t>(step));
-    // --- fiber force phase: kernels 1-4 fused per fiber, self-scheduled
+    // --- fiber force phase: kernels 1-3 fused per fiber, self-scheduled
     {
       KernelScope scope(prof, Phase::kFiberForcesFused);
       for (;;) {
@@ -155,7 +163,16 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
         compute_bending_force(sheet, f, f + 1);
         compute_stretching_force(sheet, f, f + 1);
         compute_elastic_force(sheet, f, f + 1);
-        cube_spread_force_atomic(sheet, grid_, f, f + 1);
+      }
+    }
+    if (nfibers > 0) {
+      // Every fiber's elastic force published before any thread spreads
+      // it; then kernel 4, owner computes: each thread adds only into the
+      // cubes the spread owner table gives it.
+      sync_point("dataflow:barrier:forces", tid, step, barrier_);
+      KernelScope scope(prof, Phase::kFiberForcesFused);
+      for (const FiberSheet& sheet : structure_) {
+        cube_spread_force_owned(sheet, grid_, spread_owner_, tid);
       }
     }
     // Spreading complete before collision.

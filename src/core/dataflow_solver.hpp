@@ -18,11 +18,15 @@
 //   COLLIDE+STREAM(c)  -> decrements the pending count of every cube in
 //                         region(c); a count hitting zero enqueues
 //   UPDATE+COPY(c).
-// Fiber work (kernels 1-4 fused per fiber, kernel 8) is self-scheduled
-// through atomic fiber counters with atomic force spreading. Three
-// barriers per step remain (around the fiber<->fluid hand-offs), versus
-// Algorithm 4's three plus our determinism barrier — and none of them
-// sits between the fluid kernels.
+// Fiber kernels 1-3 (fused per fiber) and 8 are self-scheduled through
+// atomic fiber counters. Kernel 4 is owner-computes, as in CubeSolver:
+// once a barrier has published every elastic force, each thread spreads
+// every fiber into the cubes of a static spread owner table (CubeSolver's
+// block table for the same thread count) with cube_spread_force_owned,
+// so no add is atomic. Five barriers per step remain in runs with fibers
+// (forces published, spreading done, tasks done, fibers moved, queue
+// re-armed) and four without, versus CubeSolver's four — and none of
+// them sits between the fluid kernels.
 //
 // TIME-STEP OVERLAP (the paper's other future-work item, "overlapping
 // different time steps"): for fiber-free runs the fiber hand-offs vanish
@@ -32,8 +36,9 @@
 // as one task graph with zero barriers between steps: cubes on one side
 // of the domain may be two phases ahead of the other side.
 //
-// Results match the sequential solver to floating-point reordering noise
-// (spreading order is nondeterministic across threads).
+// The state is bit-identical to CubeSolver's at any thread count: every
+// fluid node sums its fiber contributions in the sequential order, and
+// every task writes slots no other task writes.
 #pragma once
 
 #include <atomic>
@@ -88,6 +93,10 @@ class DataflowCubeSolver final : public Solver {
 
   CubeGrid grid_;
   BlockingBarrier barrier_;
+  /// Cube -> spreading thread, CubeSolver's block owner table for the
+  /// same thread count. Only kernel 4 uses it; the fluid tasks stay
+  /// self-scheduled.
+  std::vector<int> spread_owner_;
 
   // --- dataflow state -------------------------------------------------
   // Distinct streaming neighbourhood (self + up to 26 cubes) per cube.

@@ -3,6 +3,7 @@
 #include "common/error.hpp"
 #include "core/instrument.hpp"
 #include "ib/fiber_forces.hpp"
+#include "ib/interpolation.hpp"
 #include "ib/spreading.hpp"
 #include "lbm/boundary.hpp"
 #include "lbm/collision.hpp"
@@ -70,10 +71,10 @@ Distributed2DSolver::Distributed2DSolver(const SimulationParams& params,
   for (int r = 0; r < params.num_threads; ++r) {
     const int tx = r / ry_, ty = r % ry_;
     Rank& rank = ranks_[static_cast<Size>(r)];
-    rank.tile.x_lo = params.nx * tx / rx_;
-    rank.tile.x_hi = params.nx * (tx + 1) / rx_;
-    rank.tile.y_lo = params.ny * ty / ry_;
-    rank.tile.y_hi = params.ny * (ty + 1) / ry_;
+    rank.tile = OwnedBox::ghosted_tile(
+        params.nx * tx / rx_, params.nx * (tx + 1) / rx_,
+        params.ny * ty / ry_, params.ny * (ty + 1) / ry_, params.nx,
+        params.ny);
     const Index lnx = rank.tile.x_hi - rank.tile.x_lo;
     const Index lny = rank.tile.y_hi - rank.tile.y_lo;
     rank.grid = std::make_unique<FluidGrid>(lnx + 2, lny + 2, params.nz,
@@ -262,87 +263,7 @@ void Distributed2DSolver::exchange_halos(int rank) {
       comm_.recv(rank, rank_id(tx + 1, ty + 1), kTagCornerMM).data);
 }
 
-void Distributed2DSolver::spread_forces_local(Rank& r) {
-  const Index nx = params_.nx, ny = params_.ny;
-  for (const FiberSheet& sheet : r.structure) {
-    const Real area = sheet.node_area();
-    for (Size i = 0; i < sheet.num_nodes(); ++i) {
-      const Vec3 force = area * sheet.elastic_force(i);
-      const InfluenceDomain d = influence_domain(sheet.position(i));
-      for (int a = 0; a < 4; ++a) {
-        if (d.wx[a] == Real{0}) continue;
-        const Index gx = FluidGrid::wrap(d.base[0] + a, nx);
-        if (gx < r.tile.x_lo || gx >= r.tile.x_hi) continue;
-        const Index lx = gx - r.tile.x_lo + 1;
-        for (int b = 0; b < 4; ++b) {
-          const Real wab = d.wx[a] * d.wy[b];
-          if (wab == Real{0}) continue;
-          const Index gy = FluidGrid::wrap(d.base[1] + b, ny);
-          if (gy < r.tile.y_lo || gy >= r.tile.y_hi) continue;
-          const Index ly = gy - r.tile.y_lo + 1;
-          for (int c = 0; c < 4; ++c) {
-            const Real w = wab * d.wz[c];
-            if (w == Real{0}) continue;
-            const Index gz =
-                FluidGrid::wrap(d.base[2] + c, r.grid->nz());
-            r.grid->add_force(r.grid->index(lx, ly, gz), w * force);
-          }
-        }
-      }
-    }
-  }
-}
-
-void Distributed2DSolver::apply_inlet_outlet_local(Rank& r, int rank) {
-  using namespace d3q19;
-  FluidGrid& grid = *r.grid;
-  const Index lnx = r.tile.x_hi - r.tile.x_lo;
-  const Index lny = r.tile.y_hi - r.tile.y_lo;
-  const Index nz = grid.nz();
-  const int tx = rank / ry_;
-  auto streamed_moments = [&](Size node, Real& rho, Vec3& u) {
-    rho = 0.0;
-    Vec3 mom{};
-    for (int dir = 0; dir < kQ; ++dir) {
-      const Real g = grid.df_new(dir, node);
-      rho += g;
-      mom += g * c(dir);
-    }
-    u = mom / rho;
-  };
-  if (tx == 0) {
-    for (Index ly = 1; ly <= lny; ++ly) {
-      for (Index z = 0; z < nz; ++z) {
-        const Size node = grid.index(1, ly, z);
-        if (grid.solid(node)) continue;
-        Real rho_b;
-        Vec3 u_ignored;
-        streamed_moments(grid.index(2, ly, z), rho_b, u_ignored);
-        for (int dir = 0; dir < kQ; ++dir) {
-          grid.df_new(dir, node) =
-              equilibrium(dir, rho_b, params_.inlet_velocity);
-        }
-      }
-    }
-  }
-  if (tx == rx_ - 1) {
-    for (Index ly = 1; ly <= lny; ++ly) {
-      for (Index z = 0; z < nz; ++z) {
-        const Size node = grid.index(lnx, ly, z);
-        if (grid.solid(node)) continue;
-        Real rho_up;
-        Vec3 u_up;
-        streamed_moments(grid.index(lnx - 1, ly, z), rho_up, u_up);
-        for (int dir = 0; dir < kQ; ++dir) {
-          grid.df_new(dir, node) = equilibrium(dir, Real{1}, u_up);
-        }
-      }
-    }
-  }
-}
-
 void Distributed2DSolver::move_fibers_allreduce(Rank& r, int rank) {
-  const Index nx = params_.nx, ny = params_.ny;
   const Size total_nodes = structure_num_nodes(r.structure);
   if (total_nodes == 0) return;
   std::vector<Real> partial(3 * total_nodes, 0.0);
@@ -350,28 +271,8 @@ void Distributed2DSolver::move_fibers_allreduce(Rank& r, int rank) {
   Size base = 0;
   for (const FiberSheet& sheet : r.structure) {
     for (Size i = 0; i < sheet.num_nodes(); ++i) {
-      const InfluenceDomain d = influence_domain(sheet.position(i));
-      Vec3 u{};
-      for (int a = 0; a < 4; ++a) {
-        if (d.wx[a] == Real{0}) continue;
-        const Index gx = FluidGrid::wrap(d.base[0] + a, nx);
-        if (gx < r.tile.x_lo || gx >= r.tile.x_hi) continue;
-        const Index lx = gx - r.tile.x_lo + 1;
-        for (int b = 0; b < 4; ++b) {
-          const Real wab = d.wx[a] * d.wy[b];
-          if (wab == Real{0}) continue;
-          const Index gy = FluidGrid::wrap(d.base[1] + b, ny);
-          if (gy < r.tile.y_lo || gy >= r.tile.y_hi) continue;
-          const Index ly = gy - r.tile.y_lo + 1;
-          for (int c = 0; c < 4; ++c) {
-            const Real w = wab * d.wz[c];
-            if (w == Real{0}) continue;
-            const Index gz =
-                FluidGrid::wrap(d.base[2] + c, r.grid->nz());
-            u += w * r.grid->velocity(r.grid->index(lx, ly, gz));
-          }
-        }
-      }
+      const Vec3 u =
+          interpolate_velocity(*r.grid, r.tile, sheet.position(i));
       partial[3 * (base + i) + 0] = u.x;
       partial[3 * (base + i) + 1] = u.y;
       partial[3 * (base + i) + 2] = u.z;
@@ -427,7 +328,9 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
         compute_elastic_force(sheet, 0, sheet.num_fibers());
       }
       grid.reset_forces(params_.body_force);
-      spread_forces_local(r);
+      for (const FiberSheet& sheet : r.structure) {
+        spread_force(sheet, grid, r.tile, 0, sheet.num_fibers());
+      }
     }
     if (params_.fused_step) {
       // Kernels 5+6 as one pass over the real tile: the planar fused
@@ -461,7 +364,7 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
     {  // kernel 7 (+ boundary pass)
       KernelScope scope(prof, Phase::kUpdateVelocity);
       if (uses_inlet_outlet(params_.boundary)) {
-        apply_inlet_outlet_local(r, rank);
+        apply_inlet_outlet(grid, r.tile, params_.inlet_velocity);
       }
       for (Index lx = 1; lx <= lnx; ++lx) {
         const auto [begin, end] = row_range(lx);

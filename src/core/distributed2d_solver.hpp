@@ -28,12 +28,17 @@
 //        (directions 7, 8, 9, 10), one z-column each.
 //      Receivers skip slots whose sending-side source is a wall — those
 //      were filled locally by bounce-back;
-//   4. applies inlet/outlet conditions on the first/last x-ranks;
+//   4. applies inlet/outlet conditions to the boundary columns its tile
+//      owns (those of the first/last x-ranks);
 //   5. updates macroscopic fields locally;
 //   6. interpolates fiber velocities *partially* over its tile and
 //      all-reduces the partial sums, after which every rank advances its
 //      structure replica identically;
 //   7. copies (or, fused, swaps) distribution buffers locally.
+//
+// Steps 1, 4 and 6 call the planar kernels every solver shares
+// (spread_force, apply_inlet_outlet, interpolate_velocity) with the
+// rank's tile as their OwnedBox (lbm/owned_box.hpp).
 //
 // Ranks run as threads here; the communication pattern (8 halo messages
 // + one all-reduce per step) is the distributed algorithm — porting to
@@ -44,6 +49,7 @@
 #include <vector>
 
 #include "core/solver.hpp"
+#include "lbm/owned_box.hpp"
 #include "parallel/barrier.hpp"
 #include "parallel/communicator.hpp"
 
@@ -71,10 +77,10 @@ class Distributed2DSolver final : public Solver {
   int ranks_x() const { return rx_; }
   int ranks_y() const { return ry_; }
 
-  /// Tile [x_lo, x_hi) x [y_lo, y_hi) owned by `rank`.
-  struct Tile {
-    Index x_lo, x_hi, y_lo, y_hi;
-  };
+  /// Tile [x_lo, x_hi) x [y_lo, y_hi) owned by `rank`: the ghosted box
+  /// its planar kernels (spread_force, interpolate_velocity,
+  /// apply_inlet_outlet) take.
+  using Tile = OwnedBox;
   Tile tile_of(int rank) const;
 
  private:
@@ -96,8 +102,6 @@ class Distributed2DSolver final : public Solver {
   }
 
   void exchange_halos(int rank);
-  void spread_forces_local(Rank& r);
-  void apply_inlet_outlet_local(Rank& r, int rank);
   void move_fibers_allreduce(Rank& r, int rank);
 
   Mesh mesh_;

@@ -10,6 +10,7 @@
 #include "lbm/collision.hpp"
 #include "lbm/fused.hpp"
 #include "lbm/macroscopic.hpp"
+#include "lbm/owned_box.hpp"
 #include "lbm/streaming.hpp"
 
 namespace lbmib {
@@ -91,6 +92,7 @@ void OpenMPSolver::step() {
     const Range slabs = block_range(nx, tid, nthreads);
     const Size node_begin = static_cast<Size>(slabs.begin) * plane;
     const Size node_end = static_cast<Size>(slabs.end) * plane;
+    const OwnedBox box = OwnedBox::x_slab(grid_, slabs.begin, slabs.end);
     // Per-sheet fiber ranges owned by this thread (Algorithm 3 style).
     auto my_fibers = [&](const FiberSheet& sheet) {
       return block_range(sheet.num_fibers(), tid, nthreads);
@@ -123,8 +125,9 @@ void OpenMPSolver::step() {
     team_barrier();
     {
       // Reset this thread's slab of the force field (part of kernel 4's
-      // cost, like the sequential program), then spread this thread's
-      // fibers with atomic accumulation.
+      // cost, like the sequential program), then spread every fiber into
+      // this slab only (owner computes). No other thread writes the slab,
+      // so no barrier separates the two.
       KernelScope scope(prof, Phase::kSpread);
       for (Size node = node_begin; node < node_end; ++node) {
         grid_.fx(node) = params_.body_force.x;
@@ -135,10 +138,8 @@ void OpenMPSolver::step() {
           &grid_, static_cast<Size>(slabs.begin),
           static_cast<Size>(slabs.end), RaceField::kForce,
           RaceAccess::kWrite, "reset forces");)
-      team_barrier();
       for (const FiberSheet& sheet : structure_) {
-        const Range r = my_fibers(sheet);
-        spread_force_atomic(sheet, grid_, r.begin, r.end);
+        spread_force(sheet, grid_, box, 0, sheet.num_fibers());
       }
     }
     team_barrier();
@@ -170,8 +171,7 @@ void OpenMPSolver::step() {
     {
       KernelScope scope(prof, Phase::kUpdateVelocity);
       if (uses_inlet_outlet(params_.boundary)) {
-        apply_inlet_outlet(grid_, params_.inlet_velocity, slabs.begin,
-                           slabs.end);
+        apply_inlet_outlet(grid_, box, params_.inlet_velocity);
       }
       update_velocity_range(grid_, node_begin, node_end);
     }

@@ -8,6 +8,7 @@
 #include "lbm/collision.hpp"
 #include "lbm/fused.hpp"
 #include "lbm/macroscopic.hpp"
+#include "lbm/owned_box.hpp"
 #include "lbm/streaming.hpp"
 
 namespace lbmib {
@@ -78,7 +79,8 @@ void SequentialSolver::step() {
   {
     KernelScope scope(prof, Phase::kUpdateVelocity);
     if (uses_inlet_outlet(params_.boundary)) {
-      apply_inlet_outlet(grid_, params_.inlet_velocity, 0, grid_.nx());
+      apply_inlet_outlet(grid_, OwnedBox::whole(grid_),
+                         params_.inlet_velocity);
     }
     update_velocity_range(grid_, 0, n);
   }

@@ -1,6 +1,5 @@
 #include "cube/cube_kernels.hpp"
 
-#include <atomic>
 #include <cstring>
 
 #include "common/aligned_buffer.hpp"
@@ -475,8 +474,8 @@ DomainAxes resolve_domain(const CubeGrid& grid, const InfluenceDomain& d) {
   return out;
 }
 
-/// Spread filter of the single-writer, locked and atomic kernels: every
-/// fiber node, every target cube.
+/// Spread filter of the single-writer and locked kernels: every fiber
+/// node, every target cube.
 struct AllCubes {
   bool touches(const Vec3&) const { return true; }
   bool keeps(Size) const { return true; }
@@ -598,28 +597,6 @@ void cube_spread_force_owned(const FiberSheet& sheet, CubeGrid& grid,
                      grid.add_force(r.cube, r.local, f);
                    },
                    OwnedCubes{grid, cube_owner, tid});
-}
-
-void cube_spread_force_atomic(const FiberSheet& sheet, CubeGrid& grid,
-                              Index fiber_begin, Index fiber_end) {
-  // One coarse scatter over every cube per call: the atomic adds commute
-  // with each other, and per-add events would cost 3 shadow lookups per
-  // touched node. Coarsening a scatter only widens its footprint, which
-  // can never hide a conflict with a read or write.
-  LBMIB_RACE_CHECK(race::access_range(&grid, 0, grid.num_cubes(),
-                                      RaceField::kForce,
-                                      RaceAccess::kScatter,
-                                      "cube_spread_force_atomic");)
-  cube_spread_impl(
-      sheet, grid, fiber_begin, fiber_end,
-      [&](const CubeGrid::NodeRef& r, const Vec3& f) {
-        std::atomic_ref<Real>(grid.slot(r.cube, CubeGrid::kFxSlot)[r.local])
-            .fetch_add(f.x, std::memory_order_relaxed);
-        std::atomic_ref<Real>(grid.slot(r.cube, CubeGrid::kFySlot)[r.local])
-            .fetch_add(f.y, std::memory_order_relaxed);
-        std::atomic_ref<Real>(grid.slot(r.cube, CubeGrid::kFzSlot)[r.local])
-            .fetch_add(f.z, std::memory_order_relaxed);
-      });
 }
 
 Vec3 cube_interpolate_velocity(const CubeGrid& grid, const Vec3& pos) {

@@ -5,12 +5,12 @@
 // but each (direction, destination-node) pair has a unique source, so the
 // phase is race-free under any cube partitioning; the barrier after it
 // (Algorithm 4) publishes the values. Force spreading (kernel 4) comes in
-// four flavours that differ only in who may write a cube: the paper's
+// three flavours that differ only in who may write a cube: the paper's
 // owner-locked spread, where any thread adds into any cube under the
-// owner thread's lock; a single-writer spread; an atomic one for dynamic
-// schedules; and the owner-computes spread CubeSolver runs, where every
-// thread walks every fiber node but adds only into its own cubes, so no
-// thread writes a foreign cube and no lock is taken.
+// owner thread's lock; a single-writer spread; and the owner-computes
+// spread the cube and dataflow solvers run, where every thread walks
+// every fiber node but adds only into its own cubes, so no thread writes
+// a foreign cube, no lock is taken and no add is atomic.
 #pragma once
 
 #include <span>
@@ -98,20 +98,16 @@ void cube_spread_force_unlocked(const FiberSheet& sheet, CubeGrid& grid,
 
 /// Owner-computes variant: spread every fiber of `sheet`, but add only the
 /// contributions that land in cubes with `cube_owner[cube] == tid`
-/// (`cube_owner` indexed by cube id). Nodes whose support reaches none of
-/// those cubes are skipped before their weights are computed. Once all
-/// fiber forces are published, every thread may run this with its own tid
-/// at the same time without locks: each cube has one writer, and each
-/// fluid node sums its contributions in the same order as
-/// cube_spread_force_unlocked over all fibers, so the result is
-/// bit-identical to it whatever the thread count or ownership.
+/// (`cube_owner` indexed by cube id, as CubeDistribution::owner_table
+/// builds it). Nodes whose support reaches none of those cubes are
+/// skipped before their weights are computed. Once all fiber forces are
+/// published, every thread may run this with its own tid at the same
+/// time without locks: each cube has one writer, and each fluid node sums
+/// its contributions in the same order as cube_spread_force_unlocked over
+/// all fibers, so the result is bit-identical to it whatever the thread
+/// count or ownership.
 void cube_spread_force_owned(const FiberSheet& sheet, CubeGrid& grid,
                              std::span<const int> cube_owner, int tid);
-
-/// Lock-free variant accumulating with std::atomic_ref fetch-adds; used by
-/// the dynamically scheduled solver where cube ownership is not static.
-void cube_spread_force_atomic(const FiberSheet& sheet, CubeGrid& grid,
-                              Index fiber_begin, Index fiber_end);
 
 /// Kernel 8 for fibers [fiber_begin, fiber_end): interpolate velocity from
 /// the cube grid and advance fiber positions (dt = 1).

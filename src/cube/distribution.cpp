@@ -70,6 +70,19 @@ Size CubeDistribution::cubes_owned(int tid) const {
   return owned;
 }
 
+std::vector<int> CubeDistribution::owner_table() const {
+  std::vector<int> owner;
+  owner.reserve(static_cast<Size>(ncx_ * ncy_ * ncz_));
+  for (Index cx = 0; cx < ncx_; ++cx) {
+    for (Index cy = 0; cy < ncy_; ++cy) {
+      for (Index cz = 0; cz < ncz_; ++cz) {
+        owner.push_back(cube2thread(cx, cy, cz));
+      }
+    }
+  }
+  return owner;
+}
+
 int fiber2thread(Index fiber, Index num_fibers, int num_threads,
                  DistributionPolicy policy) {
   require(num_fibers >= 1, "no fibers to distribute");

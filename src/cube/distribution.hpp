@@ -47,6 +47,11 @@ class CubeDistribution {
   /// Number of cubes owned by thread `tid` (for balance checks).
   Size cubes_owned(int tid) const;
 
+  /// cube2thread of every cube, indexed by cube id (x-major, the
+  /// CubeGrid::cube_id order): the owner table of the owner-computes
+  /// spread (cube_spread_force_owned).
+  std::vector<int> owner_table() const;
+
   const ThreadMesh& mesh() const { return mesh_; }
   DistributionPolicy policy() const { return policy_; }
   Index cubes_x() const { return ncx_; }

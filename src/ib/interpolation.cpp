@@ -7,25 +7,16 @@
 
 namespace lbmib {
 
-Vec3 interpolate_velocity(const FluidGrid& grid, const Vec3& pos) {
-  const InfluenceDomain d = influence_domain(pos);
+Vec3 interpolate_velocity(const FluidGrid& grid, const OwnedBox& box,
+                          const Vec3& pos) {
   Vec3 u{};
-  for (int a = 0; a < 4; ++a) {
-    const Real wa = d.wx[a];
-    if (wa == Real{0}) continue;
-    for (int b = 0; b < 4; ++b) {
-      const Real wab = wa * d.wy[b];
-      if (wab == Real{0}) continue;
-      for (int c = 0; c < 4; ++c) {
-        const Real w = wab * d.wz[c];
-        if (w == Real{0}) continue;
-        const Size node = grid.periodic_index(d.base[0] + a, d.base[1] + b,
-                                              d.base[2] + c);
-        u += w * grid.velocity(node);
-      }
-    }
-  }
+  visit_owned_support(grid, box, pos,
+                      [&](Size node, Real w) { u += w * grid.velocity(node); });
   return u;
+}
+
+Vec3 interpolate_velocity(const FluidGrid& grid, const Vec3& pos) {
+  return interpolate_velocity(grid, OwnedBox::whole(grid), pos);
 }
 
 void move_fibers(FiberSheet& sheet, const FluidGrid& grid,

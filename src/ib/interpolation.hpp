@@ -15,8 +15,17 @@ namespace lbmib {
 
 class FiberSheet;
 class FluidGrid;
+struct OwnedBox;
 
-/// Interpolate fluid velocity at an arbitrary Lagrangian position.
+/// Interpolate fluid velocity at an arbitrary Lagrangian position over
+/// the support nodes `box` (lbm/owned_box.hpp) owns, in the whole-grid
+/// form's order: a box holding the whole support gives exactly the
+/// whole-grid value, one the support misses gives zero, and a distributed
+/// rank's tile gives its partial sum.
+Vec3 interpolate_velocity(const FluidGrid& grid, const OwnedBox& box,
+                          const Vec3& pos);
+
+/// Whole-grid form: the box is every column of `grid`.
 Vec3 interpolate_velocity(const FluidGrid& grid, const Vec3& pos);
 
 /// Kernel 8 for fibers [fiber_begin, fiber_end): set each node's position

@@ -6,22 +6,22 @@
 // and the node's Lagrangian patch area:
 //     f(x) += F_l * delta_h(x - X_l) * dA_l.
 //
-// Two accumulation flavours are provided:
-//   * spread_force:        plain adds — for a single writer (sequential),
-//   * spread_force_atomic: std::atomic_ref adds — for concurrent writers
-//     whose influential domains may overlap (OpenMP solver).
-// The cube-layout flavours live in cube/cube_kernels.hpp: Algorithm 4's
-// per-owner-locked spread, and the owner-computes spread the cube solver
-// runs, where each thread adds only what lands in its own cubes.
+// Spreading is owner-computes: a writer adds only what lands in the
+// columns of its OwnedBox (lbm/owned_box.hpp), walking every fiber in
+// the same order, so each fluid node sums its contributions in the
+// sequential order whichever box owns it and no add is atomic. The
+// cube-layout flavours live in cube/cube_kernels.hpp: Algorithm 4's
+// per-owner-locked spread, and the owner-computes spread over a cube
+// owner table.
 #pragma once
 
 #include "common/types.hpp"
 #include "common/vec3.hpp"
+#include "lbm/owned_box.hpp"
 
 namespace lbmib {
 
 class FiberSheet;
-class FluidGrid;
 
 /// Influential domain of a point: the 4 lattice indices per axis that the
 /// 4-point kernel reaches, with the per-axis weights.
@@ -43,14 +43,50 @@ Index influence_base(Real coord);
 /// Compute the influential domain of Lagrangian position `pos`.
 InfluenceDomain influence_domain(const Vec3& pos);
 
-/// Spread the elastic forces of fibers [fiber_begin, fiber_end); single
-/// writer (no synchronization).
+/// The support walk spreading and interpolation share: call
+/// visit(node, w) for every node of the influential domain of `pos` that
+/// `box` owns and weighs non-zero, in a -> b -> c order, with `node` an
+/// index into `grid`. A support that misses the box is rejected before
+/// its weights are computed.
+template <class Visit>
+void visit_owned_support(const FluidGrid& grid, const OwnedBox& box,
+                         const Vec3& pos, Visit&& visit) {
+  if (!box.reaches(influence_base(pos.x), influence_base(pos.y))) return;
+  const InfluenceDomain d = influence_domain(pos);
+  for (int a = 0; a < 4; ++a) {
+    const Real wa = d.wx[a];
+    if (wa == Real{0}) continue;
+    const Index gx = FluidGrid::wrap(d.base[0] + a, box.nx);
+    if (!box.owns_x(gx)) continue;
+    for (int b = 0; b < 4; ++b) {
+      const Real wab = wa * d.wy[b];
+      if (wab == Real{0}) continue;
+      const Index gy = FluidGrid::wrap(d.base[1] + b, box.ny);
+      if (!box.owns_y(gy)) continue;
+      const Size column = grid.index(gx + box.dx, gy + box.dy, 0);
+      for (int c = 0; c < 4; ++c) {
+        const Real w = wab * d.wz[c];
+        if (w == Real{0}) continue;
+        // The node index comes first so that a caller's `w * x` and its
+        // add stay adjacent: GCC then contracts them into FMAs, as in
+        // every other spread.
+        visit(column + static_cast<Size>(
+                           FluidGrid::wrap(d.base[2] + c, grid.nz())),
+              w);
+      }
+    }
+  }
+}
+
+/// Spread the elastic forces of fibers [fiber_begin, fiber_end) into the
+/// nodes `box` owns. Writers with disjoint boxes may spread at the same
+/// time once every fiber force is published; the boxes of a partition
+/// together add exactly what the whole-grid form adds, bit for bit.
+void spread_force(const FiberSheet& sheet, FluidGrid& grid,
+                  const OwnedBox& box, Index fiber_begin, Index fiber_end);
+
+/// Whole-grid form: the box is every column of `grid` (single writer).
 void spread_force(const FiberSheet& sheet, FluidGrid& grid,
                   Index fiber_begin, Index fiber_end);
-
-/// Same, but force accumulation uses atomic fetch-adds so multiple threads
-/// may spread concurrently.
-void spread_force_atomic(const FiberSheet& sheet, FluidGrid& grid,
-                         Index fiber_begin, Index fiber_end);
 
 }  // namespace lbmib

@@ -2,6 +2,7 @@
 
 #include "lbm/d3q19.hpp"
 #include "lbm/fluid_grid.hpp"
+#include "lbm/owned_box.hpp"
 #include "parallel/instrumentation.hpp"
 
 namespace lbmib {
@@ -79,60 +80,53 @@ void streamed_moments(const FluidGrid& grid, Size node, Real& rho,
 
 }  // namespace
 
-void apply_inlet_outlet(FluidGrid& grid, const Vec3& inlet_velocity,
-                        Index x_begin, Index x_end) {
-  const Index nx = grid.nx(), ny = grid.ny(), nz = grid.nz();
-  LBMIB_INSTRUMENT(
-      if (x_begin <= 0 && 0 < x_end) {
-        inst::planes(grid, 0, 1, RaceField::kDfNew, RaceAccess::kWrite,
-                     "apply_inlet_outlet: inlet rewrite");
-        inst::planes(grid, 1, 2, RaceField::kDfNew, RaceAccess::kRead,
-                     "apply_inlet_outlet: inlet density read");
+void apply_inlet_outlet(FluidGrid& grid, const OwnedBox& box,
+                        const Vec3& inlet_velocity) {
+  const Index nx = box.nx, nz = grid.nz();
+  // Rewrite boundary column gx from the streamed state of column
+  // upstream_gx, one equilibrium per owned node.
+  auto rewrite = [&](Index gx, Index upstream_gx,
+                     [[maybe_unused]] const char* what,
+                     auto&& equilibrium_of) {
+    const Index lx = gx + box.dx, upstream_lx = upstream_gx + box.dx;
+    LBMIB_INSTRUMENT(
+        inst::planes(grid, static_cast<Size>(lx), static_cast<Size>(lx) + 1,
+                     RaceField::kDfNew, RaceAccess::kWrite, what);
+        inst::planes(grid, static_cast<Size>(upstream_lx),
+                     static_cast<Size>(upstream_lx) + 1, RaceField::kDfNew,
+                     RaceAccess::kRead, what);)
+    for (Index gy = box.y_lo; gy < box.y_hi; ++gy) {
+      const Index ly = gy + box.dy;
+      for (Index z = 0; z < nz; ++z) {
+        const Size node = grid.index(lx, ly, z);
+        if (grid.solid(node)) continue;
+        Real rho;
+        Vec3 u;
+        streamed_moments(grid, grid.index(upstream_lx, ly, z), rho, u);
+        for (int dir = 0; dir < kQ; ++dir) {
+          grid.df_new(dir, node) = equilibrium_of(dir, rho, u);
+        }
       }
-      if (x_begin <= nx - 1 && nx - 1 < x_end) {
-        inst::planes(grid, static_cast<Size>(nx - 1),
-                     static_cast<Size>(nx), RaceField::kDfNew,
-                     RaceAccess::kWrite, "apply_inlet_outlet: outlet rewrite");
-        inst::planes(grid, static_cast<Size>(nx - 2),
-                     static_cast<Size>(nx - 1), RaceField::kDfNew,
-                     RaceAccess::kRead,
-                     "apply_inlet_outlet: outlet upstream read");
-      })
-  if (x_begin <= 0 && 0 < x_end) {
+    }
+  };
+  if (box.owns_x(0)) {
     // Velocity inlet: impose u = inlet_velocity at the local density
     // (taken from the x=1 neighbour, whose post-streaming state is
     // uncontaminated by the periodic wrap). Using the local density
     // instead of a fixed one lets the channel carry the pressure
     // gradient the wall friction requires.
-    for (Index y = 0; y < ny; ++y) {
-      for (Index z = 0; z < nz; ++z) {
-        const Size node = grid.index(0, y, z);
-        if (grid.solid(node)) continue;
-        Real rho_b;
-        Vec3 u_ignored;
-        streamed_moments(grid, grid.index(1, y, z), rho_b, u_ignored);
-        for (int dir = 0; dir < kQ; ++dir) {
-          grid.df_new(dir, node) =
-              d3q19::equilibrium(dir, rho_b, inlet_velocity);
-        }
-      }
-    }
+    rewrite(0, 1, "apply_inlet_outlet: inlet",
+            [&](int dir, Real rho, const Vec3&) {
+              return d3q19::equilibrium(dir, rho, inlet_velocity);
+            });
   }
-  if (x_begin <= nx - 1 && nx - 1 < x_end) {
+  if (box.owns_x(nx - 1)) {
     // Pressure outlet: anchor the density at 1 and extrapolate the
     // velocity from the upstream column (first-order open boundary).
-    for (Index y = 0; y < ny; ++y) {
-      for (Index z = 0; z < nz; ++z) {
-        const Size node = grid.index(nx - 1, y, z);
-        if (grid.solid(node)) continue;
-        Real rho_up;
-        Vec3 u_up;
-        streamed_moments(grid, grid.index(nx - 2, y, z), rho_up, u_up);
-        for (int dir = 0; dir < kQ; ++dir) {
-          grid.df_new(dir, node) = d3q19::equilibrium(dir, Real{1}, u_up);
-        }
-      }
-    }
+    rewrite(nx - 1, nx - 2, "apply_inlet_outlet: outlet",
+            [](int dir, Real, const Vec3& u) {
+              return d3q19::equilibrium(dir, Real{1}, u);
+            });
   }
 }
 

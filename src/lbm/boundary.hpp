@@ -11,6 +11,7 @@
 namespace lbmib {
 
 class FluidGrid;
+struct OwnedBox;
 
 /// Mark wall nodes as solid according to `type`. kPeriodic marks nothing;
 /// kChannel and kInletOutlet mark the y = 0, y = ny-1, z = 0, z = nz-1
@@ -36,14 +37,16 @@ inline bool uses_inlet_outlet(BoundaryType type) {
 }
 
 /// Post-streaming inlet/outlet pass (kInletOutlet): overwrite the x = 0
-/// column of df_new with the equilibrium of `inlet_velocity` at unit
-/// density, and copy the x = nx-2 column's df_new into x = nx-1
-/// (zero-gradient outflow). Runs before update_fluid_velocity so kernel 7
-/// publishes consistent macroscopic values. Restricted to x-slabs in
-/// [x_begin, x_end) so parallel solvers call it on their own partition;
-/// each boundary node has a unique writer.
-void apply_inlet_outlet(FluidGrid& grid, const Vec3& inlet_velocity,
-                        Index x_begin, Index x_end);
+/// column of df_new with the equilibrium of `inlet_velocity` at the
+/// density of the x = 1 column, and the x = nx-1 column with the
+/// equilibrium at unit density of the x = nx-2 column's velocity
+/// (first-order outflow). Runs before update_fluid_velocity so kernel 7
+/// publishes consistent macroscopic values. Rewrites only the boundary
+/// nodes `box` owns (lbm/owned_box.hpp), so each has a unique writer
+/// whether the box is the whole grid, an x-slab or a ghosted tile; the
+/// upstream column it reads must be stored in the grid too.
+void apply_inlet_outlet(FluidGrid& grid, const OwnedBox& box,
+                        const Vec3& inlet_velocity);
 // (The cube-layout version lives in cube/cube_kernels.hpp to keep the
 // lbm -> cube layering acyclic.)
 

@@ -16,8 +16,9 @@ SimulationParams small_params() {
 }
 
 /// The dynamically scheduled solver must reproduce the sequential result
-/// for any thread count and cube size (atomic spreading reorders floating
-/// point adds, so compare to tight tolerance rather than bit-exactly).
+/// for any thread count and cube size, to the tight tolerance of the cube
+/// layout's SIMD kernels (against CubeSolver it is exact:
+/// DataflowDeterminism in test_solver_concurrency.cpp).
 class DataflowEquivalence
     : public ::testing::TestWithParam<std::tuple<int, Index>> {};
 

@@ -253,8 +253,9 @@ class ChaosPointTest : public ::testing::TestWithParam<ChaosPoint> {
   }
 };
 
-// The labels that used to beat without a chaos hook: a timed stall armed
-// at each must fire exactly once and the run must still complete.
+// The labels that used to beat without a chaos hook, and the dataflow
+// solver's forces barrier: a timed stall armed at each must fire exactly
+// once and the run must still complete.
 TEST_P(ChaosPointTest, TimedStallFiresOnceAndTheRunCompletes) {
   const ChaosPoint& point = GetParam();
   SimulationParams p = liveness_params(point.kind);
@@ -277,6 +278,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         ChaosPoint{"cube:step:start", SolverKind::kCube, false},
         ChaosPoint{"dataflow:step:start", SolverKind::kDataflow, false},
+        ChaosPoint{"dataflow:barrier:forces", SolverKind::kDataflow, false},
         ChaosPoint{"dataflow:barrier:moved", SolverKind::kDataflow, false},
         ChaosPoint{"dataflow:barrier:rearm", SolverKind::kDataflow, false},
         ChaosPoint{"dataflow:overlapped-task", SolverKind::kDataflow, true},

@@ -33,7 +33,7 @@ TEST(MrtSolvers, AllParallelSolversMatchSequential) {
   p.num_threads = 4;
   OpenMPSolver omp(p);
   omp.run(8);
-  EXPECT_LT(compare_solvers(seq, omp).max_any(), 1e-11) << "openmp";
+  EXPECT_EQ(compare_solvers(seq, omp).max_any(), 0.0) << "openmp";
 
   CubeSolver cube(p);
   cube.run(8);

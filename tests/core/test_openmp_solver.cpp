@@ -25,8 +25,7 @@ TEST_P(OpenMPEquivalence, MatchesSequentialAfterManySteps) {
   seq.run(10);
   omp.run(10);
   const StateDiff diff = compare_solvers(seq, omp);
-  // Atomic force accumulation reorders additions, so allow rounding noise.
-  EXPECT_LT(diff.max_any(), 1e-11) << diff.to_string();
+  EXPECT_EQ(diff.max_any(), 0.0) << diff.to_string();
 }
 
 TEST_P(OpenMPEquivalence, ChannelFlowMatchesSequential) {
@@ -39,7 +38,7 @@ TEST_P(OpenMPEquivalence, ChannelFlowMatchesSequential) {
   seq.run(8);
   omp.run(8);
   const StateDiff diff = compare_solvers(seq, omp);
-  EXPECT_LT(diff.max_any(), 1e-11) << diff.to_string();
+  EXPECT_EQ(diff.max_any(), 0.0) << diff.to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, OpenMPEquivalence,
@@ -47,6 +46,47 @@ INSTANTIATE_TEST_SUITE_P(Threads, OpenMPEquivalence,
                          [](const auto& info) {
                            return "t" + std::to_string(info.param);
                          });
+
+/// (fused_step, simd_step): the reference pipeline and both fused legs.
+class OpenMPDeterminism
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(OpenMPDeterminism, BitIdenticalToSequentialAtAnyThreadCount) {
+  // Each thread spreads every fiber into its own x-slab only, so every
+  // fluid node sums its fiber contributions in the sequential order: the
+  // state must match exactly at any thread count, not to a tolerance.
+  constexpr Index kDeterminismSteps = 6;
+  SimulationParams p = small_params();
+  p.fused_step = std::get<0>(GetParam());
+  p.simd_step = std::get<1>(GetParam());
+  // Off the lattice on every axis, so each node's support carries weight
+  // on all 4 indices per axis and straddles slab boundaries.
+  p.sheet_origin = {6.37, 5.61, 6.23};
+  SequentialSolver seq(p);
+  seq.run(kDeterminismSteps);
+  OpenMPSolver one(p);
+  one.run(kDeterminismSteps);
+  EXPECT_EQ(compare_solvers(seq, one).max_any(), 0.0);
+  for (int threads : {2, 3, 4, 5, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    SimulationParams pt = p;
+    pt.num_threads = threads;
+    OpenMPSolver omp(pt);
+    omp.run(kDeterminismSteps);
+    EXPECT_EQ(compare_solvers(one, omp).max_any(), 0.0);
+    EXPECT_EQ(compare_solvers(seq, omp).max_any(), 0.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pipelines, OpenMPDeterminism,
+    ::testing::Values(std::tuple{false, false}, std::tuple{true, false},
+                      std::tuple{true, true}),
+    [](const auto& info) {
+      return std::string(!std::get<0>(info.param) ? "reference"
+                         : std::get<1>(info.param) ? "fused_simd"
+                                                   : "fused_scalar");
+    });
 
 TEST(OpenMPSolver, PerThreadProfilesHaveOneEntryPerThread) {
   SimulationParams p = small_params();
@@ -77,7 +117,7 @@ TEST(OpenMPSolver, MoreThreadsThanXSlabsStillCorrect) {
   OpenMPSolver omp(p);
   seq.run(4);
   omp.run(4);
-  EXPECT_LT(compare_solvers(seq, omp).max_any(), 1e-11);
+  EXPECT_EQ(compare_solvers(seq, omp).max_any(), 0.0);
 }
 
 TEST(OpenMPSolver, Name) {

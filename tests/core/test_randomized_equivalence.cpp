@@ -72,7 +72,7 @@ TEST_P(RandomizedEquivalence, AllSolversMatchSequential) {
 
   OpenMPSolver omp(p);
   omp.run(5);
-  EXPECT_LT(compare_solvers(seq, omp).max_any(), 1e-11) << "openmp";
+  EXPECT_EQ(compare_solvers(seq, omp).max_any(), 0.0) << "openmp";
 
   CubeSolver cube(p);
   cube.run(5);
@@ -81,6 +81,7 @@ TEST_P(RandomizedEquivalence, AllSolversMatchSequential) {
   DataflowCubeSolver flow(p);
   flow.run(5);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-11) << "dataflow";
+  EXPECT_EQ(compare_solvers(cube, flow).max_any(), 0.0) << "dataflow vs cube";
 
   Distributed2DSolver dist(p, Distributed2DSolver::Mesh::kSlabs);
   dist.run(5);

@@ -64,52 +64,90 @@ INSTANTIATE_TEST_SUITE_P(
                                                             : "_blocking");
     });
 
-/// (cube_size, simd_step)
-class CubeSolverDeterminism
-    : public ::testing::TestWithParam<std::tuple<Index, bool>> {};
-
-TEST_P(CubeSolverDeterminism, BitIdenticalAtAnyThreadCountAndPolicy) {
-  // Owner-computes spreading sums every fluid node's fiber contributions
-  // in the sequential solver's order, whichever thread owns the node, so
-  // the state must match exactly, not to a tolerance. Under TSan this
-  // also covers every thread reading every fiber after the barrier that
-  // publishes the fiber forces.
-  constexpr Index kDeterminismSteps = 6;
-  SimulationParams p = stress_params();
-  p.cube_size = std::get<0>(GetParam());
-  p.simd_step = std::get<1>(GetParam());
-  // Off the lattice on every axis, so each node's support carries weight
-  // on all 4 indices per axis and straddles cube boundaries.
-  p.sheet_origin = {6.37, 5.61, 6.23};
-  SequentialSolver seq(p);
-  seq.run(kDeterminismSteps);
-  CubeSolver one(p);
-  one.run(kDeterminismSteps);
-  EXPECT_EQ(compare_solvers(seq, one).max_any(), 0.0);
-  for (int threads : {2, 3, 4, 5, 8}) {
-    for (DistributionPolicy policy :
-         {DistributionPolicy::kBlock, DistributionPolicy::kCyclic}) {
-      SCOPED_TRACE(std::to_string(threads) + " threads, " +
-                   (policy == DistributionPolicy::kBlock ? "block"
-                                                         : "cyclic"));
-      SimulationParams pt = p;
-      pt.num_threads = threads;
-      CubeSolver cube(pt, policy);
-      cube.run(kDeterminismSteps);
-      EXPECT_EQ(compare_solvers(one, cube).max_any(), 0.0);
-      EXPECT_EQ(compare_solvers(seq, cube).max_any(), 0.0);
+/// Exact determinism of the two owner-computes cube solvers, CubeSolver
+/// and the dataflow solver; the parameter is (cube_size, simd_step).
+template <SolverKind kKind>
+class OwnerComputesDeterminism
+    : public ::testing::TestWithParam<std::tuple<Index, bool>> {
+ protected:
+  void expect_bit_identical() const {
+    // Owner-computes spreading sums every fluid node's fiber
+    // contributions in the sequential solver's order, whichever thread
+    // owns the node, so the state must match exactly, not to a
+    // tolerance. Under TSan this also covers every thread reading every
+    // fiber after the barrier that publishes the fiber forces.
+    constexpr Index kDeterminismSteps = 6;
+    SimulationParams p = stress_params();
+    p.cube_size = std::get<0>(GetParam());
+    p.simd_step = std::get<1>(GetParam());
+    // Off the lattice on every axis, so each node's support carries
+    // weight on all 4 indices per axis and straddles cube boundaries.
+    p.sheet_origin = {6.37, 5.61, 6.23};
+    SequentialSolver seq(p);
+    seq.run(kDeterminismSteps);
+    CubeSolver one(p);
+    one.run(kDeterminismSteps);
+    EXPECT_EQ(compare_solvers(seq, one).max_any(), 0.0);
+    if constexpr (kKind == SolverKind::kDataflow) {
+      // Against its own 1-thread run and against CubeSolver.
+      DataflowCubeSolver flow_one(p);
+      flow_one.run(kDeterminismSteps);
+      EXPECT_EQ(compare_solvers(one, flow_one).max_any(), 0.0);
+      for (int threads : {2, 3, 4, 5, 8}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        SimulationParams pt = p;
+        pt.num_threads = threads;
+        DataflowCubeSolver flow(pt);
+        flow.run(kDeterminismSteps);
+        EXPECT_EQ(compare_solvers(flow_one, flow).max_any(), 0.0);
+        EXPECT_EQ(compare_solvers(one, flow).max_any(), 0.0);
+      }
+    } else {
+      for (int threads : {2, 3, 4, 5, 8}) {
+        for (DistributionPolicy policy :
+             {DistributionPolicy::kBlock, DistributionPolicy::kCyclic}) {
+          SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                       (policy == DistributionPolicy::kBlock ? "block"
+                                                             : "cyclic"));
+          SimulationParams pt = p;
+          pt.num_threads = threads;
+          CubeSolver cube(pt, policy);
+          cube.run(kDeterminismSteps);
+          EXPECT_EQ(compare_solvers(one, cube).max_any(), 0.0);
+          EXPECT_EQ(compare_solvers(seq, cube).max_any(), 0.0);
+        }
+      }
     }
   }
+};
+
+using CubeSolverDeterminism = OwnerComputesDeterminism<SolverKind::kCube>;
+using DataflowDeterminism = OwnerComputesDeterminism<SolverKind::kDataflow>;
+
+TEST_P(CubeSolverDeterminism, BitIdenticalAtAnyThreadCountAndPolicy) {
+  expect_bit_identical();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    CubeSizes, CubeSolverDeterminism,
-    ::testing::Combine(::testing::Values<Index>(1, 2, 4, 8),
-                       ::testing::Bool()),
-    [](const auto& info) {
-      return "k" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_simd" : "_scalar");
-    });
+TEST_P(DataflowDeterminism, BitIdenticalAtAnyThreadCount) {
+  expect_bit_identical();
+}
+
+std::string cube_size_name(
+    const ::testing::TestParamInfo<std::tuple<Index, bool>>& info) {
+  return "k" + std::to_string(std::get<0>(info.param)) +
+         (std::get<1>(info.param) ? "_simd" : "_scalar");
+}
+
+INSTANTIATE_TEST_SUITE_P(CubeSizes, CubeSolverDeterminism,
+                         ::testing::Combine(::testing::Values<Index>(1, 2,
+                                                                     4, 8),
+                                            ::testing::Bool()),
+                         cube_size_name);
+INSTANTIATE_TEST_SUITE_P(CubeSizes, DataflowDeterminism,
+                         ::testing::Combine(::testing::Values<Index>(1, 2,
+                                                                     4, 8),
+                                            ::testing::Bool()),
+                         cube_size_name);
 
 TEST(CubeSolverConcurrencyObserver, ObserverBarrierPathIsRaceFree) {
   // The observer runs on tid 0 while the team waits at the extra barrier;
@@ -128,8 +166,9 @@ TEST(CubeSolverConcurrencyObserver, ObserverBarrierPathIsRaceFree) {
 class DataflowConcurrency : public ::testing::TestWithParam<int> {};
 
 TEST_P(DataflowConcurrency, DynamicSchedulingMatchesSequential) {
-  // Atomic work queue + dependency counters + atomic force scatter: the
-  // densest concentration of relaxed/acquire/release traffic in the repo.
+  // Atomic work queue + dependency counters + self-scheduled fiber
+  // kernels: the densest concentration of relaxed/acquire/release
+  // traffic in the repo.
   SimulationParams p = stress_params();
   p.num_threads = GetParam();
   DataflowCubeSolver dataflow(p);

@@ -91,7 +91,7 @@ TEST(Structure, OpenMPMatchesSequentialWithTwoSheets) {
   OpenMPSolver omp(p);
   seq.run(8);
   omp.run(8);
-  EXPECT_LT(compare_solvers(seq, omp).max_any(), 1e-11);
+  EXPECT_EQ(compare_solvers(seq, omp).max_any(), 0.0);
 }
 
 TEST(Structure, CubeMatchesSequentialWithTwoSheets) {

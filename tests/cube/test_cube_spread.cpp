@@ -106,20 +106,6 @@ TEST(CubeSpread, ConcurrentSpreadingIsLossFree) {
   }
 }
 
-/// cube id -> owner table of `dist` over `grid`'s cubes.
-std::vector<int> owner_table(const CubeGrid& grid,
-                             const CubeDistribution& dist) {
-  std::vector<int> owner(grid.num_cubes());
-  for (Index cx = 0; cx < grid.cubes_x(); ++cx) {
-    for (Index cy = 0; cy < grid.cubes_y(); ++cy) {
-      for (Index cz = 0; cz < grid.cubes_z(); ++cz) {
-        owner[grid.cube_id(cx, cy, cz)] = dist.cube2thread(cx, cy, cz);
-      }
-    }
-  }
-  return owner;
-}
-
 /// Bit-for-bit force equality over every node (NaN payloads included).
 void expect_same_force_bits(const CubeGrid& got, const CubeGrid& want) {
   for (Size cube = 0; cube < got.num_cubes(); ++cube) {
@@ -161,7 +147,7 @@ void expect_owned_matches_unlocked(const FiberSheet& sheet) {
         const CubeDistribution dist(got.cubes_x(), got.cubes_y(),
                                     got.cubes_z(), balanced_mesh(threads),
                                     policy);
-        const std::vector<int> owner = owner_table(got, dist);
+        const std::vector<int> owner = dist.owner_table();
         for (int tid = 0; tid < threads; ++tid) {
           cube_spread_force_owned(sheet, got, owner, tid);
         }

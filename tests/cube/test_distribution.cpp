@@ -155,6 +155,26 @@ TEST(Fiber2Thread, AllFibersCoveredMoreThreadsThanFibers) {
   }
 }
 
+TEST(Distribution, OwnerTableIsCube2ThreadInCubeIdOrder) {
+  constexpr Index kNcx = 3, kNcy = 4, kNcz = 5;
+  for (DistributionPolicy policy :
+       {DistributionPolicy::kBlock, DistributionPolicy::kCyclic,
+        DistributionPolicy::kBlockCyclic}) {
+    const CubeDistribution dist(kNcx, kNcy, kNcz, balanced_mesh(6), policy,
+                                2);
+    const std::vector<int> owner = dist.owner_table();
+    ASSERT_EQ(owner.size(), static_cast<Size>(kNcx * kNcy * kNcz));
+    for (Index cx = 0; cx < kNcx; ++cx) {
+      for (Index cy = 0; cy < kNcy; ++cy) {
+        for (Index cz = 0; cz < kNcz; ++cz) {
+          EXPECT_EQ(owner[static_cast<Size>((cx * kNcy + cy) * kNcz + cz)],
+                    dist.cube2thread(cx, cy, cz));
+        }
+      }
+    }
+  }
+}
+
 TEST(Distribution, PolicyNames) {
   EXPECT_EQ(distribution_policy_name(DistributionPolicy::kBlock), "block");
   EXPECT_EQ(distribution_policy_name(DistributionPolicy::kCyclic), "cyclic");

@@ -102,20 +102,6 @@ TEST(Spreading, PeriodicWrapNearBoundary) {
   EXPECT_NEAR(total.z, sheet.node_area() * 1.0, 1e-12);
 }
 
-TEST(Spreading, AtomicVariantMatchesPlain) {
-  FluidGrid a(16, 16, 16), b(16, 16, 16);
-  a.reset_forces({});
-  b.reset_forces({});
-  FiberSheet sheet = perturbed_sheet(2);
-  spread_force(sheet, a, 0, sheet.num_fibers());
-  spread_force_atomic(sheet, b, 0, sheet.num_fibers());
-  for (Size n = 0; n < a.num_nodes(); ++n) {
-    EXPECT_NEAR(a.fx(n), b.fx(n), 1e-15);
-    EXPECT_NEAR(a.fy(n), b.fy(n), 1e-15);
-    EXPECT_NEAR(a.fz(n), b.fz(n), 1e-15);
-  }
-}
-
 TEST(Spreading, FiberRangeDecompositionMatchesFullSweep) {
   FluidGrid a(16, 16, 16), b(16, 16, 16);
   a.reset_forces({});

@@ -61,6 +61,24 @@ class random_device {
   unsigned operator()();
 };
 
+template <class T>
+class atomic {
+ public:
+  T load() const;
+  void store(T value);
+  T fetch_add(T value);
+  T fetch_sub(T value);
+  bool compare_exchange_weak(T& expected, T desired);
+  bool compare_exchange_strong(T& expected, T desired);
+};
+
+template <class T>
+class atomic_ref {
+ public:
+  explicit atomic_ref(T& object);
+  T fetch_add(T value) const;
+};
+
 template <class K, class V>
 class map {
  public:

@@ -10,6 +10,22 @@ namespace clang {
 namespace tidy {
 namespace lbmib {
 
+namespace {
+
+/// TUs where floating-point atomic accumulation is banned: the
+/// simulation modules, plus this check's own lint fixtures. Fixed, as in
+/// scripts/lbmib_lint.py: both engines enforce one scope.
+const std::string FpAtomicPathRegex =
+    "(^|/)(src/(lbm|ib|cube|core)/[^/]+|"
+    "tests/lint/fixtures/nondeterminism_[a-z]+\\.cpp)$";
+
+const char *const FpAtomicHint =
+    "simulation state must sum in a fixed order: give each fluid node one "
+    "writer (owner computes, DESIGN.md §7); only src/obs telemetry may "
+    "accumulate atomically";
+
+} // namespace
+
 NondeterminismCheck::NondeterminismCheck(StringRef Name,
                                          ClangTidyContext *Context)
     : ClangTidyCheck(Name, Context) {}
@@ -54,6 +70,31 @@ void NondeterminismCheck::registerMatchers(
                 unless(isExpansionInSystemHeader()))
           .bind("ptrkeyed"),
       this);
+  // Floating-point atomic accumulation: any std::atomic_ref over a
+  // floating value, and read-modify-write adds on std::atomic<floating>.
+  // Scoped by path in check().
+  const auto FloatingArg =
+      hasTemplateArgument(0, refersToType(realFloatingPointType()));
+  Finder->addMatcher(
+      cxxConstructExpr(
+          hasType(hasUnqualifiedDesugaredType(recordType(
+              hasDeclaration(classTemplateSpecializationDecl(
+                  hasName("::std::atomic_ref"), FloatingArg))))),
+          unless(isExpansionInSystemHeader()))
+          .bind("fpatomicref"),
+      this);
+  Finder->addMatcher(
+      cxxMemberCallExpr(
+          on(hasType(hasUnqualifiedDesugaredType(
+              recordType(hasDeclaration(classTemplateSpecializationDecl(
+                  hasName("::std::atomic"), FloatingArg)))))),
+          callee(cxxMethodDecl(hasAnyName("fetch_add", "fetch_sub",
+                                          "compare_exchange_weak",
+                                          "compare_exchange_strong"))
+                     .bind("fpupdate")),
+          unless(isExpansionInSystemHeader()))
+          .bind("fpatomiccall"),
+      this);
 }
 
 void NondeterminismCheck::check(
@@ -80,6 +121,26 @@ void NondeterminismCheck::check(
          "std::random_device draws from the OS entropy pool and cannot "
          "be replayed; seed lbmib::SplitMix64 (src/common/rng.hpp) "
          "explicitly instead");
+    return;
+  }
+  const SourceManager &SM = *Result.SourceManager;
+  if (const auto *Ref =
+          Result.Nodes.getNodeAs<CXXConstructExpr>("fpatomicref")) {
+    if (pathMatches(FpAtomicPathRegex, locationPath(SM, Ref->getBeginLoc())))
+      diag(Ref->getBeginLoc(),
+           "std::atomic_ref over a floating-point value accumulates in "
+           "schedule order; %0")
+          << FpAtomicHint;
+    return;
+  }
+  if (const auto *Call =
+          Result.Nodes.getNodeAs<CXXMemberCallExpr>("fpatomiccall")) {
+    const auto *Method = Result.Nodes.getNodeAs<CXXMethodDecl>("fpupdate");
+    if (pathMatches(FpAtomicPathRegex, locationPath(SM, Call->getBeginLoc())))
+      diag(Call->getBeginLoc(),
+           "floating-point std::atomic updated by '%0' accumulates in "
+           "schedule order; %1")
+          << Method->getName() << FpAtomicHint;
     return;
   }
   if (const auto *D = Result.Nodes.getNodeAs<ValueDecl>("ptrkeyed")) {

@@ -6,7 +6,11 @@
 // ordered containers iterate in address order — different every run
 // under ASLR. Use lbmib::SplitMix64 (src/common/rng.hpp) with an
 // explicit seed, steady_clock for durations, and stable ids as map
-// keys.
+// keys. In the simulation modules (src/lbm, src/ib, src/cube, src/core)
+// floating-point atomic accumulation (std::atomic_ref over a floating
+// value, or std::atomic<floating> updated by fetch_add/fetch_sub or a
+// compare-exchange) is banned too: its sums land in schedule order.
+// src/obs counters are telemetry and stay allowed.
 #pragma once
 
 #include "clang-tidy/ClangTidyCheck.h"
