@@ -19,4 +19,11 @@ inline void require(bool condition, const std::string& message) {
   if (!condition) throw Error(message);
 }
 
+/// The literal-message form: builds the string only when it throws, so a
+/// check that holds allocates nothing (the access checker runs some on
+/// every cube write of a checked build's time step).
+inline void require(bool condition, const char* message) {
+  if (!condition) throw Error(message);
+}
+
 }  // namespace lbmib

@@ -28,6 +28,8 @@ CubeSolver::CubeSolver(const SimulationParams& params,
       dist_(grid_.cubes_x(), grid_.cubes_y(), grid_.cubes_z(), mesh_,
             policy),
       barrier_(make_barrier(barrier_kind, params.num_threads)),
+      bins_(structure_, dist_.owner_table(), params.num_threads,
+            params.num_threads),
       owned_cubes_(static_cast<Size>(params.num_threads)),
       owned_fibers_(static_cast<Size>(params.num_threads)) {
   finish_construction(policy);
@@ -43,6 +45,8 @@ CubeSolver::CubeSolver(const SimulationParams& params,
                                    grid_.cubes_x(), grid_.cubes_y(),
                                    grid_.cubes_z(), policy)),
       barrier_(make_barrier(barrier_kind, params.num_threads)),
+      bins_(structure_, dist_.owner_table(), params.num_threads,
+            params.num_threads),
       owned_cubes_(static_cast<Size>(params.num_threads)),
       owned_fibers_(static_cast<Size>(params.num_threads)) {
   finish_construction(policy);
@@ -52,9 +56,9 @@ void CubeSolver::finish_construction(DistributionPolicy policy) {
   // Precompute the cube -> owner table and each thread's cube and fiber
   // lists. Equivalent to the "if cube2thread(I,J,K) == tid" scan in
   // Algorithm 4, hoisted out of the time loop.
-  cube_owner_ = dist_.owner_table();
-  for (Size cube = 0; cube < cube_owner_.size(); ++cube) {
-    owned_cubes_[static_cast<Size>(cube_owner_[cube])].push_back(cube);
+  const std::span<const int> cube_owner = bins_.cube_owner();
+  for (Size cube = 0; cube < cube_owner.size(); ++cube) {
+    owned_cubes_[static_cast<Size>(cube_owner[cube])].push_back(cube);
   }
 #if LBMIB_ACCESS_CHECK_ENABLED
   // Shadow the grid with its cube2thread image so every write hook can
@@ -64,7 +68,7 @@ void CubeSolver::finish_construction(DistributionPolicy policy) {
   access_checker_ =
       std::make_unique<AccessChecker>(grid_.num_cubes(), params_.num_threads);
   for (Size cube = 0; cube < grid_.num_cubes(); ++cube) {
-    access_checker_->set_owner(cube, cube_owner_[cube]);
+    access_checker_->set_owner(cube, cube_owner[cube]);
   }
   grid_.attach_access_checker(access_checker_.get());
 #endif
@@ -124,17 +128,21 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
         compute_elastic_force(structure_[s], f, f + 1);
       }
     }
-    // Extra barrier (see header comment): every fiber's elastic force must
-    // be published before any thread spreads it.
+    {
+      // Kernel 4's first half: bin this thread's fixed fiber block of
+      // every sheet by the owners its supports reach.
+      KernelScope scope(prof, Phase::kSpread);
+      bins_.bin(structure_, grid_, tid);
+    }
+    // Extra barrier (see header comment): every fiber's elastic force and
+    // every bin must be published before any thread spreads.
     sync_point("cube:barrier:spread", tid, step, *barrier_, checker,
                StepPhase::kCollideStream);
 
-    // --- kernel 4, owner computes: every fiber node, own cubes only ------
+    // --- kernel 4, owner computes: binned fiber nodes, own cubes only ----
     {
       KernelScope scope(prof, Phase::kSpread);
-      for (const FiberSheet& sheet : structure_) {
-        cube_spread_force_owned(sheet, grid_, cube_owner_, tid);
-      }
+      cube_spread_force_owned(structure_, grid_, bins_, tid);
     }
     // No barrier here: collision reads only its own cube's force, and only
     // this thread wrote it.

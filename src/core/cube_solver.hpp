@@ -7,17 +7,20 @@
 // with barrier synchronization between dependent kernel phases.
 //
 // Force spreading is owner-computes instead of the paper's per-owner
-// locks: each thread runs kernels 1-3 on its own fibers, then every
-// thread walks every fiber node and adds only the part of its support
-// that lands in its own cubes (cube_spread_force_owned). No thread writes
-// a foreign cube and no lock is taken, and each fluid node sums its
-// contributions in the sequential solver's order, so the state is
-// bit-identical across thread counts and distribution policies.
+// locks: each thread runs kernels 1-3 on its own fibers and bins a fixed
+// block of every sheet's fibers by the owners their supports reach
+// (SpreadBins); after the barrier each thread walks only the nodes binned
+// to it and adds only the part of their support that lands in its own
+// cubes (cube_spread_force_owned). No thread writes a foreign cube and no
+// lock is taken, and each fluid node sums its contributions in the
+// sequential solver's order, so the state is bit-identical across thread
+// counts and distribution policies.
 //
 // Barrier placement: Algorithm 4 shows three barriers per step (after
 // streaming, after update_fluid_velocity, and at the end of the step). We
 // add a fourth between the fiber-force kernels 1-3 and spreading, so that
-// every fiber's elastic force is published before any thread reads it.
+// every fiber's elastic force and every bin is published before any
+// thread reads it.
 // Collision follows spreading with no barrier between them: it reads only
 // its own cube's force, which only its own thread wrote. Both deviations
 // are documented in DESIGN.md §7.
@@ -29,6 +32,7 @@
 #include "cube/cube_grid.hpp"
 #include "cube/distribution.hpp"
 #include "cube/numa_distribution.hpp"
+#include "cube/spread_bins.hpp"
 #include "parallel/access_checker.hpp"
 #include "parallel/barrier.hpp"
 #include "parallel/mesh.hpp"
@@ -82,7 +86,8 @@ class CubeSolver final : public Solver {
   ThreadMesh mesh_;
   CubeDistribution dist_;
   std::unique_ptr<Barrier> barrier_;
-  std::vector<int> cube_owner_;                 // cube id -> owning tid
+  /// Owner table (cube id -> owning tid) and each step's spread bins.
+  SpreadBins bins_;
   std::vector<std::vector<Size>> owned_cubes_;  // cube ids per thread
   /// (sheet index, fiber index) pairs owned per thread; distribution uses
   /// the global fiber numbering across all sheets of the structure.

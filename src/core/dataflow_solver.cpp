@@ -36,13 +36,15 @@ DataflowCubeSolver::DataflowCubeSolver(const SimulationParams& params)
     : Solver(params),
       grid_(params),
       barrier_(params.num_threads),
-      spread_owner_(CubeDistribution(grid_.cubes_x(), grid_.cubes_y(),
-                                     grid_.cubes_z(),
-                                     fitted_mesh(params.num_threads,
-                                                 grid_.cubes_x(),
-                                                 grid_.cubes_y(),
-                                                 grid_.cubes_z()))
-                        .owner_table()),
+      spread_bins_(structure_,
+                   CubeDistribution(grid_.cubes_x(), grid_.cubes_y(),
+                                    grid_.cubes_z(),
+                                    fitted_mesh(params.num_threads,
+                                                grid_.cubes_x(),
+                                                grid_.cubes_y(),
+                                                grid_.cubes_z()))
+                       .owner_table(),
+                   params.num_threads, params.num_threads),
       tasks_executed_(static_cast<Size>(params.num_threads), 0) {
   const Size ncubes = grid_.num_cubes();
 
@@ -166,14 +168,17 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
       }
     }
     if (nfibers > 0) {
-      // Every fiber's elastic force published before any thread spreads
-      // it; then kernel 4, owner computes: each thread adds only into the
-      // cubes the spread owner table gives it.
+      // Kernel 4, owner computes: bin this thread's fixed fiber block of
+      // every sheet by spread owner; once every elastic force and bin is
+      // published, spread the nodes binned to this thread into the cubes
+      // the spread owner table gives it.
+      {
+        KernelScope scope(prof, Phase::kFiberForcesFused);
+        spread_bins_.bin(structure_, grid_, tid);
+      }
       sync_point("dataflow:barrier:forces", tid, step, barrier_);
       KernelScope scope(prof, Phase::kFiberForcesFused);
-      for (const FiberSheet& sheet : structure_) {
-        cube_spread_force_owned(sheet, grid_, spread_owner_, tid);
-      }
+      cube_spread_force_owned(structure_, grid_, spread_bins_, tid);
     }
     // Spreading complete before collision.
     sync_point("dataflow:barrier:spread", tid, step, barrier_);

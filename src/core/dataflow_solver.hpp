@@ -20,10 +20,12 @@
 //   UPDATE+COPY(c).
 // Fiber kernels 1-3 (fused per fiber) and 8 are self-scheduled through
 // atomic fiber counters. Kernel 4 is owner-computes, as in CubeSolver:
-// once a barrier has published every elastic force, each thread spreads
-// every fiber into the cubes of a static spread owner table (CubeSolver's
-// block table for the same thread count) with cube_spread_force_owned,
-// so no add is atomic. Five barriers per step remain in runs with fibers
+// each thread bins a fixed block of every sheet's fibers by the owners of
+// a static spread owner table (CubeSolver's block table for the same
+// thread count), and once a barrier has published every elastic force and
+// bin, spreads the nodes binned to it into its own cubes with
+// cube_spread_force_owned, so no add is atomic. Five barriers per step
+// remain in runs with fibers
 // (forces published, spreading done, tasks done, fibers moved, queue
 // re-armed) and four without, versus CubeSolver's four — and none of
 // them sits between the fluid kernels.
@@ -47,6 +49,7 @@
 
 #include "core/solver.hpp"
 #include "cube/cube_grid.hpp"
+#include "cube/spread_bins.hpp"
 #include "parallel/barrier.hpp"
 
 namespace lbmib {
@@ -93,10 +96,10 @@ class DataflowCubeSolver final : public Solver {
 
   CubeGrid grid_;
   BlockingBarrier barrier_;
-  /// Cube -> spreading thread, CubeSolver's block owner table for the
-  /// same thread count. Only kernel 4 uses it; the fluid tasks stay
-  /// self-scheduled.
-  std::vector<int> spread_owner_;
+  /// Kernel 4's bins over CubeSolver's block owner table (cube ->
+  /// spreading thread) for the same thread count. Only kernel 4 uses the
+  /// table; the fluid tasks stay self-scheduled.
+  SpreadBins spread_bins_;
 
   // --- dataflow state -------------------------------------------------
   // Distinct streaming neighbourhood (self + up to 26 cubes) per cube.

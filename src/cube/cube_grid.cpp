@@ -26,12 +26,20 @@ CubeGrid::CubeGrid(Index nx, Index ny, Index nz, Index cube_size, Real rho0,
   data_.reset(num_cubes() * block_stride_);
   solid_.reset(num_cubes() * m_);
   cube_has_solid_.reset(num_cubes());
-  neighbors_.reset(num_cubes() * 27);
-  build_neighbor_table();
+  build_lookup_tables();
   initialize(rho0, u0);
 }
 
-void CubeGrid::build_neighbor_table() {
+void CubeGrid::build_lookup_tables() {
+  const Index extents[3] = {nx_, ny_, nz_};
+  for (int axis = 0; axis < 3; ++axis) {
+    std::vector<AxisCoord>& table = axis_coords_[axis];
+    table.resize(static_cast<Size>(extents[axis]));
+    for (Index g = 0; g < extents[axis]; ++g) {
+      table[static_cast<Size>(g)] = {g / k_, g % k_};
+    }
+  }
+  neighbors_.reset(num_cubes() * 27);
   auto wrap = [](Index v, Index n) { return (v + n) % n; };
   for (Index cx = 0; cx < ncx_; ++cx) {
     for (Index cy = 0; cy < ncy_; ++cy) {
@@ -90,8 +98,7 @@ CubeGrid::CubeGrid(const SimulationParams& params)
       initialize_range(begin, end, params.rho0, params.initial_velocity);
     });
   }
-  neighbors_.reset(num_cubes() * 27);
-  build_neighbor_table();
+  build_lookup_tables();
   // Shared mask logic (walls + obstacles) via is_boundary_solid.
   for (Index x = 0; x < nx_; ++x) {
     for (Index y = 0; y < ny_; ++y) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <utility>
+#include <vector>
 
 #include "common/aligned_buffer.hpp"
 #include "common/params.hpp"
@@ -106,6 +107,21 @@ class CubeGrid {
 
   /// Locate with periodic wrapping of the global coordinate.
   NodeRef locate_periodic(Index x, Index y, Index z) const;
+
+  /// One axis of locate: a global coordinate's cube coordinate (g / k)
+  /// and its coordinate inside that cube (g % k).
+  struct AxisCoord {
+    Index cube;
+    Index local;
+  };
+
+  /// Split global coordinate g, in [0, extent) along `axis` (0 = x,
+  /// 1 = y, 2 = z), without dividing: the support walks of kernels 4 and
+  /// 8 and the spread binning read it from a per-axis table built at
+  /// construction.
+  AxisCoord split(int axis, Index g) const {
+    return axis_coords_[static_cast<Size>(axis)][static_cast<Size>(g)];
+  }
 
   /// Id of the cube neighbouring `cube` by (dx, dy, dz) in {-1, 0, 1}^3,
   /// with periodic wrap at the grid boundary. Precomputed at construction
@@ -227,29 +243,33 @@ class CubeGrid {
     return {slot(cube, kFxSlot)[local], slot(cube, kFySlot)[local],
             slot(cube, kFzSlot)[local]};
   }
-  void add_force(Size cube, Size local, const Vec3& f) {
-    slot(cube, kFxSlot)[local] += f.x;
-    slot(cube, kFySlot)[local] += f.y;
-    slot(cube, kFzSlot)[local] += f.z;
-    // Hooks after the adds: a call between the caller's `w * force` and
-    // these adds would stop GCC contracting them into FMAs, so a checked
-    // build would round the spread differently from a release build and
-    // from FluidGrid::add_force, and stop matching the sequential solver.
+  /// Kernel 4's add: force[cube][local + i] += w[i] * f for each i < n
+  /// whose weight is non-zero, in i order. A spread hands it one support
+  /// column's z-targets that fall in one cube, which are consecutive
+  /// local nodes.
+  void add_force_run(Size cube, Size local, const Real* w, int n,
+                     const Vec3& f) {
+    accumulate_force_run(cube, local, w, n, f);
+    // Hooks after the adds, so no hook call can come between a product
+    // and its add: that would stop GCC contracting the pair into an FMA,
+    // and a checked build would stop matching the sequential solver.
     LBMIB_ACCESS_CHECK(
         if (checker_ != nullptr) checker_->check_unlocked_write(cube);)
     LBMIB_RACE_CHECK(race::access(this, cube, RaceField::kForce,
                                   RaceAccess::kWrite,
-                                  "add_force (unlocked)");)
+                                  "add_force_run (unlocked)");)
   }
 
-  /// add_force for a cross-thread write under the owning thread's lock
-  /// (the spread kernel's path). `owner_lock` exists so clang's
-  /// thread-safety analysis can prove the caller holds the lock it names;
-  /// `owner` lets the debug AccessChecker verify that the lock held is
-  /// the one cube2thread assigns to `cube`.
-  void add_force_locked([[maybe_unused]] SpinLock& owner_lock,
-                        [[maybe_unused]] int owner, Size cube, Size local,
-                        const Vec3& f) LBMIB_REQUIRES(owner_lock) {
+  /// add_force_run for a cross-thread write under the owning thread's
+  /// lock (Algorithm 4's locked spread, which takes the lock once per
+  /// run). `owner_lock` exists so clang's thread-safety analysis can
+  /// prove the caller holds the lock it names; `owner` lets the debug
+  /// AccessChecker verify that the lock held is the one cube2thread
+  /// assigns to `cube`.
+  void add_force_run_locked([[maybe_unused]] SpinLock& owner_lock,
+                            [[maybe_unused]] int owner, Size cube,
+                            Size local, const Real* w, int n, const Vec3& f)
+      LBMIB_REQUIRES(owner_lock) {
     LBMIB_ACCESS_CHECK(
         if (checker_ != nullptr) checker_->check_locked_write(cube, owner);)
     // An exclusive write, not a scatter: the owner's lock totally
@@ -257,10 +277,20 @@ class CubeGrid {
     // foreign write shows up as a missing happens-before edge.
     LBMIB_RACE_CHECK(race::access(this, cube, RaceField::kForce,
                                   RaceAccess::kWrite,
-                                  "add_force (owner-locked)");)
-    slot(cube, kFxSlot)[local] += f.x;
-    slot(cube, kFySlot)[local] += f.y;
-    slot(cube, kFzSlot)[local] += f.z;
+                                  "add_force_run (owner-locked)");)
+    accumulate_force_run(cube, local, w, n, f);
+  }
+
+  /// One node's add, a run of one at weight 1 (exact: 1 * f + acc rounds
+  /// as f + acc does).
+  void add_force(Size cube, Size local, const Vec3& f) {
+    constexpr Real kOne = 1;
+    add_force_run(cube, local, &kOne, 1, f);
+  }
+  void add_force_locked(SpinLock& owner_lock, int owner, Size cube,
+                        Size local, const Vec3& f) LBMIB_REQUIRES(owner_lock) {
+    constexpr Real kOne = 1;
+    add_force_run_locked(owner_lock, owner, cube, local, &kOne, 1, f);
   }
 
   /// Attach (or detach with nullptr) the debug ownership checker consulted
@@ -317,7 +347,25 @@ class CubeGrid {
  private:
   Index nx_, ny_, nz_, k_;
   Index ncx_, ncy_, ncz_;
-  void build_neighbor_table();
+  /// The neighbour table and the per-axis split tables.
+  void build_lookup_tables();
+
+  void accumulate_force_run(Size cube, Size local, const Real* w, int n,
+                            const Vec3& f) {
+    Real* fx = slot(cube, kFxSlot) + local;
+    Real* fy = slot(cube, kFySlot) + local;
+    Real* fz = slot(cube, kFzSlot) + local;
+    for (int i = 0; i < n; ++i) {
+      if (w[i] == Real{0}) continue;
+      // The product before the loads of its targets, as in the planar
+      // spread, so each pair contracts into an FMA (or not) alike in both
+      // layouts: a sanitizer's check on a target load sits between them.
+      const Vec3 wf = w[i] * f;
+      fx[i] += wf.x;
+      fy[i] += wf.y;
+      fz[i] += wf.z;
+    }
+  }
 
   /// Construction-time initialization of cube blocks [cube_begin,
   /// cube_end): equilibrium df, zero df_new/forces, rest macroscopics,
@@ -334,6 +382,7 @@ class CubeGrid {
   AlignedBuffer<std::uint8_t> solid_;  // cube-major, [num_cubes * m]
   AlignedBuffer<std::uint8_t> cube_has_solid_;  // [num_cubes]
   AlignedBuffer<Size> neighbors_;      // [num_cubes * 27]
+  std::vector<AxisCoord> axis_coords_[3];  // split() per axis, [extent]
   Vec3 lid_velocity_{};
   bool has_lid_ = false;
   /// Debug ownership checker; consulted only when LBMIB_CHECK_ACCESS is

@@ -4,6 +4,7 @@
 
 #include "common/aligned_buffer.hpp"
 #include "cube/cube_grid.hpp"
+#include "cube/spread_bins.hpp"
 #include "ib/delta.hpp"
 #include "ib/fiber_sheet.hpp"
 #include "ib/spreading.hpp"
@@ -452,112 +453,90 @@ void cube_copy_distributions(CubeGrid& grid, Size cube) {
 
 namespace {
 
-/// Cube and local coordinates of each influential-domain offset, resolved
-/// once per axis (12 divisions per fiber node instead of 6 per touched
-/// fluid node).
-struct DomainAxes {
-  Index cube_c[3][4];
-  Index local_c[3][4];
-};
+/// The support walk every kernel-4 flavour and kernel 8 share: the
+/// influential domain of one point, resolved into cube coordinates with
+/// no division. Each axis's 4 lattice indices are wrapped (no `%` when
+/// already in range) and split by the grid's axis tables. The 4 z-targets
+/// of a support column are cut into runs of consecutive local nodes of
+/// one cube: one run, or two where the column crosses a cube face or
+/// the periodic boundary (up to four at cube size 1).
+struct CubeSupport {
+  InfluenceDomain d;
+  CubeGrid::AxisCoord at[3][4];  ///< per axis, per lattice offset
+  int runs;                      ///< z-runs per column
+  int run_start[5];              ///< run r: offsets [run_start[r], [r+1])
 
-DomainAxes resolve_domain(const CubeGrid& grid, const InfluenceDomain& d) {
-  const Index dims[3] = {grid.nx(), grid.ny(), grid.nz()};
-  const Index k = grid.cube_size();
-  DomainAxes out;
-  for (int axis = 0; axis < 3; ++axis) {
-    for (int a = 0; a < 4; ++a) {
-      const Index g = FluidGrid::wrap(d.base[axis] + a, dims[axis]);
-      out.cube_c[axis][a] = g / k;
-      out.local_c[axis][a] = g % k;
-    }
-  }
-  return out;
-}
-
-/// Spread filter of the single-writer and locked kernels: every fiber
-/// node, every target cube.
-struct AllCubes {
-  bool touches(const Vec3&) const { return true; }
-  bool keeps(Size) const { return true; }
-};
-
-/// Owner-computes filter: keep only targets in cubes `owner[cube] == tid`.
-struct OwnedCubes {
-  const CubeGrid& grid;
-  std::span<const int> owner;
-  int tid;
-
-  bool keeps(Size cube) const { return owner[cube] == tid; }
-
-  /// Per-node early reject: does the support of a node at `pos` reach any
-  /// owned cube? Visits every distinct cube its 4 lattice indices per
-  /// axis fall in (up to 4 at cube_size 1, not just the two end cubes),
-  /// with bases from influence_base so the clamp path agrees with
-  /// influence_domain.
-  bool touches(const Vec3& pos) const {
-    const Index k = grid.cube_size();
-    const Real coords[3] = {pos.x, pos.y, pos.z};
-    const Index dims[3] = {grid.nx(), grid.ny(), grid.nz()};
-    const Index cubes[3] = {grid.cubes_x(), grid.cubes_y(), grid.cubes_z()};
-    Index first[3], count[3];
+  CubeSupport(const CubeGrid& grid, const Vec3& pos)
+      : d(influence_domain(pos)) {
+    const Index extents[3] = {grid.nx(), grid.ny(), grid.nz()};
     for (int axis = 0; axis < 3; ++axis) {
-      const Index g = FluidGrid::wrap(influence_base(coords[axis]),
-                                      dims[axis]);
-      first[axis] = g / k;
-      count[axis] = (g % k + 3) / k + 1;
-    }
-    for (Index a = 0; a < count[0]; ++a) {
-      const Index cx = FluidGrid::wrap(first[0] + a, cubes[0]);
-      for (Index b = 0; b < count[1]; ++b) {
-        const Index cy = FluidGrid::wrap(first[1] + b, cubes[1]);
-        for (Index c = 0; c < count[2]; ++c) {
-          const Index cz = FluidGrid::wrap(first[2] + c, cubes[2]);
-          if (keeps(grid.cube_id(cx, cy, cz))) return true;
-        }
+      for (int a = 0; a < 4; ++a) {
+        at[axis][a] = grid.split(
+            axis, FluidGrid::wrap(d.base[axis] + a, extents[axis]));
       }
     }
-    return false;
+    runs = 0;
+    for (int c = 0; c < 4; ++c) {
+      if (c == 0 || at[2][c].cube != at[2][c - 1].cube ||
+          at[2][c].local != at[2][c - 1].local + 1) {
+        run_start[runs++] = c;
+      }
+    }
+    run_start[runs] = 4;
   }
 };
 
-/// Kernel 4 over fibers [fiber_begin, fiber_end) in fiber -> node -> a ->
-/// b -> c order, handing each weighted force that `filter` keeps to `add`.
-template <class AddForce, class Filter = AllCubes>
-void cube_spread_impl(const FiberSheet& sheet, CubeGrid& grid,
-                      Index fiber_begin, Index fiber_end, AddForce&& add,
-                      const Filter& filter = {}) {
-  const Real area = sheet.node_area();
+/// One z-run of a support column: `n` targets from node `local` of
+/// `cube` (cube coordinate (cx, cy, cz)), weighted by w[0..n).
+struct ZRun {
+  Size cube;
+  Size local;
+  const Real* w;
+  int n;
+  Index cx, cy, cz;
+};
+
+/// Kernel 4 for one fiber node at `pos`: hand every z-run of its support
+/// to `add` in a -> b -> c order, skipping columns of zero weight, so the
+/// targets are visited in the order the planar spread adds them.
+template <class AddRun>
+void spread_node(const CubeGrid& grid, const Vec3& pos, AddRun&& add) {
+  const CubeSupport s(grid, pos);
   const Index k = grid.cube_size();
   const Index ncy = grid.cubes_y(), ncz = grid.cubes_z();
+  for (int a = 0; a < 4; ++a) {
+    const Real wa = s.d.wx[a];
+    if (wa == Real{0}) continue;
+    for (int b = 0; b < 4; ++b) {
+      const Real wab = wa * s.d.wy[b];
+      if (wab == Real{0}) continue;
+      const Index cube_xy = (s.at[0][a].cube * ncy + s.at[1][b].cube) * ncz;
+      const Index local_xy = (s.at[0][a].local * k + s.at[1][b].local) * k;
+      Real w[4];
+      for (int c = 0; c < 4; ++c) w[c] = wab * s.d.wz[c];
+      for (int r = 0; r < s.runs; ++r) {
+        const int c0 = s.run_start[r];
+        const CubeGrid::AxisCoord& z = s.at[2][c0];
+        add(ZRun{static_cast<Size>(cube_xy + z.cube),
+                 static_cast<Size>(local_xy + z.local), w + c0,
+                 s.run_start[r + 1] - c0, s.at[0][a].cube, s.at[1][b].cube,
+                 z.cube});
+      }
+    }
+  }
+}
+
+/// Kernel 4 over fibers [fiber_begin, fiber_end) in fiber -> node order.
+template <class AddRun>
+void cube_spread_impl(const FiberSheet& sheet, const CubeGrid& grid,
+                      Index fiber_begin, Index fiber_end, AddRun&& add) {
+  const Real area = sheet.node_area();
   for (Index f = fiber_begin; f < fiber_end; ++f) {
     for (Index j = 0; j < sheet.nodes_per_fiber(); ++j) {
       const Size node_id = sheet.id(f, j);
-      const Vec3& pos = sheet.position(node_id);
-      if (!filter.touches(pos)) continue;
       const Vec3 force = area * sheet.elastic_force(node_id);
-      const InfluenceDomain d = influence_domain(pos);
-      const DomainAxes ax = resolve_domain(grid, d);
-      for (int a = 0; a < 4; ++a) {
-        const Real wa = d.wx[a];
-        if (wa == Real{0}) continue;
-        for (int b = 0; b < 4; ++b) {
-          const Real wab = wa * d.wy[b];
-          if (wab == Real{0}) continue;
-          const Index cube_xy =
-              (ax.cube_c[0][a] * ncy + ax.cube_c[1][b]) * ncz;
-          const Index local_xy =
-              (ax.local_c[0][a] * k + ax.local_c[1][b]) * k;
-          for (int c = 0; c < 4; ++c) {
-            const Real w = wab * d.wz[c];
-            if (w == Real{0}) continue;
-            const CubeGrid::NodeRef r{
-                static_cast<Size>(cube_xy + ax.cube_c[2][c]),
-                static_cast<Size>(local_xy + ax.local_c[2][c])};
-            if (!filter.keeps(r.cube)) continue;
-            add(r, w * force);
-          }
-        }
-      }
+      spread_node(grid, sheet.position(node_id),
+                  [&](const ZRun& r) { add(r, force); });
     }
   }
 }
@@ -568,57 +547,61 @@ void cube_spread_force(const FiberSheet& sheet, CubeGrid& grid,
                        const CubeDistribution& dist,
                        std::span<SpinLock> locks, Index fiber_begin,
                        Index fiber_end) {
-  const Index ncy = grid.cubes_y(), ncz = grid.cubes_z();
   cube_spread_impl(
       sheet, grid, fiber_begin, fiber_end,
-      [&](const CubeGrid::NodeRef& r, const Vec3& f) {
-        const Index cx = static_cast<Index>(r.cube) / (ncy * ncz);
-        const Index cy = (static_cast<Index>(r.cube) / ncz) % ncy;
-        const Index cz = static_cast<Index>(r.cube) % ncz;
-        const int owner = dist.cube2thread(cx, cy, cz);
-        SpinLockGuard guard(locks[static_cast<Size>(owner)]);
-        grid.add_force_locked(locks[static_cast<Size>(owner)], owner,
-                              r.cube, r.local, f);
+      [&](const ZRun& r, const Vec3& force) {
+        const int owner = dist.cube2thread(r.cx, r.cy, r.cz);
+        SpinLock& lock = locks[static_cast<Size>(owner)];
+        SpinLockGuard guard(lock);
+        grid.add_force_run_locked(lock, owner, r.cube, r.local, r.w, r.n,
+                                  force);
       });
 }
 
 void cube_spread_force_unlocked(const FiberSheet& sheet, CubeGrid& grid,
                                 Index fiber_begin, Index fiber_end) {
   cube_spread_impl(sheet, grid, fiber_begin, fiber_end,
-                   [&](const CubeGrid::NodeRef& r, const Vec3& f) {
-                     grid.add_force(r.cube, r.local, f);
+                   [&](const ZRun& r, const Vec3& force) {
+                     grid.add_force_run(r.cube, r.local, r.w, r.n, force);
                    });
 }
 
-void cube_spread_force_owned(const FiberSheet& sheet, CubeGrid& grid,
-                             std::span<const int> cube_owner, int tid) {
-  cube_spread_impl(sheet, grid, 0, sheet.num_fibers(),
-                   [&](const CubeGrid::NodeRef& r, const Vec3& f) {
-                     grid.add_force(r.cube, r.local, f);
-                   },
-                   OwnedCubes{grid, cube_owner, tid});
+void cube_spread_force_owned(const Structure& structure, CubeGrid& grid,
+                             const SpreadBins& bins, int owner) {
+  const std::span<const int> cube_owner = bins.cube_owner();
+  for (Size s = 0; s < structure.size(); ++s) {
+    const FiberSheet& sheet = structure[s];
+    const Real area = sheet.node_area();
+    for (int t = 0; t < bins.threads(); ++t) {
+      for (const std::uint32_t node : bins.nodes(s, t, owner)) {
+        const Vec3 force = area * sheet.elastic_force(node);
+        spread_node(grid, sheet.position(node), [&](const ZRun& r) {
+          if (cube_owner[r.cube] != owner) return;
+          grid.add_force_run(r.cube, r.local, r.w, r.n, force);
+        });
+      }
+    }
+  }
 }
 
 Vec3 cube_interpolate_velocity(const CubeGrid& grid, const Vec3& pos) {
-  const InfluenceDomain d = influence_domain(pos);
-  const DomainAxes ax = resolve_domain(grid, d);
+  const CubeSupport s(grid, pos);
   const Index k = grid.cube_size();
   const Index ncy = grid.cubes_y(), ncz = grid.cubes_z();
   Vec3 u{};
   for (int a = 0; a < 4; ++a) {
-    const Real wa = d.wx[a];
+    const Real wa = s.d.wx[a];
     if (wa == Real{0}) continue;
     for (int b = 0; b < 4; ++b) {
-      const Real wab = wa * d.wy[b];
+      const Real wab = wa * s.d.wy[b];
       if (wab == Real{0}) continue;
-      const Index cube_xy = (ax.cube_c[0][a] * ncy + ax.cube_c[1][b]) * ncz;
-      const Index local_xy = (ax.local_c[0][a] * k + ax.local_c[1][b]) * k;
+      const Index cube_xy = (s.at[0][a].cube * ncy + s.at[1][b].cube) * ncz;
+      const Index local_xy = (s.at[0][a].local * k + s.at[1][b].local) * k;
       for (int c = 0; c < 4; ++c) {
-        const Real w = wab * d.wz[c];
+        const Real w = wab * s.d.wz[c];
         if (w == Real{0}) continue;
-        u += w * grid.velocity(
-                     static_cast<Size>(cube_xy + ax.cube_c[2][c]),
-                     static_cast<Size>(local_xy + ax.local_c[2][c]));
+        u += w * grid.velocity(static_cast<Size>(cube_xy + s.at[2][c].cube),
+                               static_cast<Size>(local_xy + s.at[2][c].local));
       }
     }
   }

@@ -8,9 +8,12 @@
 // three flavours that differ only in who may write a cube: the paper's
 // owner-locked spread, where any thread adds into any cube under the
 // owner thread's lock; a single-writer spread; and the owner-computes
-// spread the cube and dataflow solvers run, where every thread walks
-// every fiber node but adds only into its own cubes, so no thread writes
-// a foreign cube, no lock is taken and no add is atomic.
+// spread the cube and dataflow solvers run, where each owner walks only
+// the fiber nodes binned to it (cube/spread_bins.hpp) and adds only into
+// its own cubes, so no thread writes a foreign cube, no lock is taken and
+// no add is atomic. All three and kernel 8 share one support walk, which
+// resolves cube coordinates without dividing and adds each support
+// column's z-targets as one run per cube (CubeGrid::add_force_run).
 #pragma once
 
 #include <span>
@@ -18,12 +21,12 @@
 #include "common/types.hpp"
 #include "common/vec3.hpp"
 #include "cube/distribution.hpp"
+#include "cube/spread_bins.hpp"
 #include "parallel/spinlock.hpp"
 
 namespace lbmib {
 
 class CubeGrid;
-class FiberSheet;
 class MrtOperator;
 
 /// Kernel 5 on one cube, in place on df: MRT when `mrt` is non-null,
@@ -96,18 +99,16 @@ void cube_spread_force(const FiberSheet& sheet, CubeGrid& grid,
 void cube_spread_force_unlocked(const FiberSheet& sheet, CubeGrid& grid,
                                 Index fiber_begin, Index fiber_end);
 
-/// Owner-computes variant: spread every fiber of `sheet`, but add only the
-/// contributions that land in cubes with `cube_owner[cube] == tid`
-/// (`cube_owner` indexed by cube id, as CubeDistribution::owner_table
-/// builds it). Nodes whose support reaches none of those cubes are
-/// skipped before their weights are computed. Once all fiber forces are
-/// published, every thread may run this with its own tid at the same
-/// time without locks: each cube has one writer, and each fluid node sums
-/// its contributions in the same order as cube_spread_force_unlocked over
-/// all fibers, so the result is bit-identical to it whatever the thread
+/// Owner-computes variant: spread the fiber nodes `bins` holds for
+/// `owner`, adding only the contributions that land in cubes with
+/// `bins.cube_owner()[cube] == owner`. Once every fiber force and bin is
+/// published, every owner may run this at the same time without locks:
+/// each cube has one writer, and each fluid node sums its contributions
+/// in the same order as cube_spread_force_unlocked over every fiber of
+/// every sheet, so the result is bit-identical to it whatever the thread
 /// count or ownership.
-void cube_spread_force_owned(const FiberSheet& sheet, CubeGrid& grid,
-                             std::span<const int> cube_owner, int tid);
+void cube_spread_force_owned(const Structure& structure, CubeGrid& grid,
+                             const SpreadBins& bins, int owner);
 
 /// Kernel 8 for fibers [fiber_begin, fiber_end): interpolate velocity from
 /// the cube grid and advance fiber positions (dt = 1).

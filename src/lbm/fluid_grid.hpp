@@ -56,8 +56,10 @@ class FluidGrid {
            static_cast<Size>(z);
   }
 
-  /// Coordinate wrapped periodically into [0, n).
+  /// Coordinate wrapped periodically into [0, n). A coordinate already in
+  /// range (most of a support's indices) returns without dividing.
   static Index wrap(Index v, Index n) {
+    if (v >= 0 && v < n) return v;
     v %= n;
     return v < 0 ? v + n : v;
   }

@@ -2,13 +2,18 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/cube_solver.hpp"
 #include "cube/cube_grid.hpp"
 #include "cube/cube_kernels.hpp"
+#include "cube/spread_bins.hpp"
 #include "ib/fiber_forces.hpp"
 #include "ib/fiber_sheet.hpp"
 #include "ib/interpolation.hpp"
@@ -32,21 +37,29 @@ FiberSheet perturbed_sheet(std::uint64_t seed) {
 }
 
 TEST(CubeSpread, UnlockedMatchesPlanarSpreading) {
-  FluidGrid planar(16, 16, 16);
-  planar.reset_forces({});
-  CubeGrid cubes(16, 16, 16, 4);
-  cubes.reset_forces({});
+  // On the 16 x 16 x 8 grid at cube size 8 the sheet (z in [5, 10])
+  // wraps z inside the one cube along z: a support column's targets
+  // z = 6, 7, 0, 1 are two runs of that cube, not one.
   const FiberSheet sheet = perturbed_sheet(1);
+  for (const Index nz : {16, 8}) {
+    const Index k = nz == 16 ? 4 : 8;
+    SCOPED_TRACE("16x16x" + std::to_string(nz) + ", cube_size " +
+                 std::to_string(k));
+    FluidGrid planar(16, 16, nz);
+    planar.reset_forces({});
+    CubeGrid cubes(16, 16, nz, k);
+    cubes.reset_forces({});
 
-  spread_force(sheet, planar, 0, sheet.num_fibers());
-  cube_spread_force_unlocked(sheet, cubes, 0, sheet.num_fibers());
+    spread_force(sheet, planar, 0, sheet.num_fibers());
+    cube_spread_force_unlocked(sheet, cubes, 0, sheet.num_fibers());
 
-  FluidGrid back(16, 16, 16);
-  cubes.to_planar(back);
-  for (Size n = 0; n < planar.num_nodes(); ++n) {
-    EXPECT_DOUBLE_EQ(back.fx(n), planar.fx(n)) << n;
-    EXPECT_DOUBLE_EQ(back.fy(n), planar.fy(n)) << n;
-    EXPECT_DOUBLE_EQ(back.fz(n), planar.fz(n)) << n;
+    FluidGrid back(16, 16, nz);
+    cubes.to_planar(back);
+    for (Size n = 0; n < planar.num_nodes(); ++n) {
+      EXPECT_DOUBLE_EQ(back.fx(n), planar.fx(n)) << n;
+      EXPECT_DOUBLE_EQ(back.fy(n), planar.fy(n)) << n;
+      EXPECT_DOUBLE_EQ(back.fz(n), planar.fz(n)) << n;
+    }
   }
 }
 
@@ -125,31 +138,43 @@ void expect_same_force_bits(const CubeGrid& got, const CubeGrid& want) {
   }
 }
 
-/// Owner-computes spread, once per tid into one grid, against the
-/// single-writer spread: bit-identical for every mesh, policy and cube
-/// size (cube_size 1 puts 4 distinct cubes on each axis of a node's
-/// support, 2 up to 3).
-void expect_owned_matches_unlocked(const FiberSheet& sheet) {
-  constexpr Index kN = 12;  // divisible by every cube size below
-  for (Index k : {1, 2, 3, 4}) {
-    CubeGrid want(kN, kN, kN, k);
+/// Owner-computes spread through the bins, once per owner into one grid,
+/// against the single-writer spread: bit-identical for every mesh, policy
+/// and cube size (cube_size 1 puts 4 distinct cubes on each axis of a
+/// node's support, 2 up to 3). The 24 x 16 x 8 grid at cube size 8 has
+/// one cube along z, which a support that wraps z reaches from both ends.
+void expect_owned_matches_unlocked(const Structure& structure) {
+  struct Shape {
+    Index nx, ny, nz, k;
+  };
+  const Shape shapes[] = {{24, 24, 24, 1}, {24, 24, 24, 2},
+                          {24, 24, 24, 3}, {24, 24, 24, 4},
+                          {24, 24, 24, 8}, {24, 16, 8, 8}};
+  for (const Shape& shape : shapes) {
+    CubeGrid want(shape.nx, shape.ny, shape.nz, shape.k);
     want.reset_forces({});
-    cube_spread_force_unlocked(sheet, want, 0, sheet.num_fibers());
-    for (int threads : {4, 8}) {
+    for (const FiberSheet& sheet : structure) {
+      cube_spread_force_unlocked(sheet, want, 0, sheet.num_fibers());
+    }
+    for (int owners : {4, 5, 8}) {
       for (DistributionPolicy policy :
            {DistributionPolicy::kBlock, DistributionPolicy::kCyclic}) {
-        SCOPED_TRACE("cube_size " + std::to_string(k) + ", " +
-                     std::to_string(threads) + " threads, " +
+        SCOPED_TRACE(std::to_string(shape.nx) + "x" +
+                     std::to_string(shape.ny) + "x" +
+                     std::to_string(shape.nz) + ", cube_size " +
+                     std::to_string(shape.k) + ", " +
+                     std::to_string(owners) + " owners, " +
                      (policy == DistributionPolicy::kBlock ? "block"
                                                            : "cyclic"));
-        CubeGrid got(kN, kN, kN, k);
+        CubeGrid got(shape.nx, shape.ny, shape.nz, shape.k);
         got.reset_forces({});
         const CubeDistribution dist(got.cubes_x(), got.cubes_y(),
-                                    got.cubes_z(), balanced_mesh(threads),
+                                    got.cubes_z(), balanced_mesh(owners),
                                     policy);
-        const std::vector<int> owner = dist.owner_table();
-        for (int tid = 0; tid < threads; ++tid) {
-          cube_spread_force_owned(sheet, got, owner, tid);
+        SpreadBins bins(structure, dist.owner_table(), owners, owners);
+        for (int t = 0; t < owners; ++t) bins.bin(structure, got, t);
+        for (int owner = 0; owner < owners; ++owner) {
+          cube_spread_force_owned(structure, got, bins, owner);
         }
         expect_same_force_bits(got, want);
       }
@@ -158,13 +183,16 @@ void expect_owned_matches_unlocked(const FiberSheet& sheet) {
 }
 
 TEST(CubeSpread, OwnedPerThreadMatchesUnlockedBitForBit) {
-  expect_owned_matches_unlocked(perturbed_sheet(6));
+  expect_owned_matches_unlocked({perturbed_sheet(6)});
+  // Two overlapping sheets: every owner must spread sheet 0's bins
+  // before sheet 1's, whichever thread binned them.
+  expect_owned_matches_unlocked({perturbed_sheet(6), perturbed_sheet(9)});
 }
 
-TEST(CubeSpread, OwnedMatchesUnlockedAcrossPeriodicBoundary) {
-  // Origin near the top corner: the sheet runs past x, y, z = 12 and its
-  // supports wrap onto cubes at the low faces.
-  FiberSheet sheet(6, 6, 5.0, 5.0, {9.7, 9.3, 9.55}, 0.05, 0.01);
+/// A sheet whose origin sits near the top corner of a 24^3 grid: it runs
+/// past x, y, z = 24 and its supports wrap onto cubes at the low faces.
+FiberSheet wrapping_sheet() {
+  FiberSheet sheet(6, 6, 5.0, 5.0, {21.7, 21.3, 21.55}, 0.05, 0.01);
   SplitMix64 rng(7);
   for (Size i = 0; i < sheet.num_nodes(); ++i) {
     sheet.position(i) += Vec3{rng.next_double(-0.3, 0.3),
@@ -172,25 +200,147 @@ TEST(CubeSpread, OwnedMatchesUnlockedAcrossPeriodicBoundary) {
                               rng.next_double(-0.3, 0.3)};
   }
   compute_all_fiber_forces(sheet);
-  expect_owned_matches_unlocked(sheet);
+  return sheet;
 }
 
-TEST(CubeSpread, OwnedMatchesUnlockedOnClampedPositions) {
-  // influence_domain's clamp path: a NaN and an astronomically large
-  // position both take base 0. The reject test must agree on the
-  // support and nothing may index out of range.
+/// influence_domain's clamp path: a NaN and an astronomically large
+/// position both take base 0.
+FiberSheet clamped_sheet() {
   FiberSheet sheet = perturbed_sheet(8);
   sheet.position(3) = Vec3{std::numeric_limits<Real>::quiet_NaN(),
                            std::numeric_limits<Real>::quiet_NaN(),
                            std::numeric_limits<Real>::quiet_NaN()};
   sheet.position(10) = Vec3{1e300, -1e300, 1e300};
-  expect_owned_matches_unlocked(sheet);
+  return sheet;
+}
+
+TEST(CubeSpread, OwnedMatchesUnlockedAcrossPeriodicBoundary) {
+  expect_owned_matches_unlocked({wrapping_sheet()});
+}
+
+TEST(CubeSpread, OwnedMatchesUnlockedOnClampedPositions) {
+  // The binning must agree with the spread on the support, and nothing
+  // may index out of range.
+  const FiberSheet sheet = clamped_sheet();
+  expect_owned_matches_unlocked({sheet});
 
   CubeGrid grid(12, 12, 12, 4);
   grid.reset_forces({});
   cube_spread_force_unlocked(sheet, grid, 0, sheet.num_fibers());
   const CubeGrid::NodeRef r = grid.locate(1, 1, 1);
   EXPECT_TRUE(std::isnan(grid.force(r.cube, r.local).x));
+}
+
+TEST(CubeSpread, BinsHoldExactlyTheOwnersEachSupportReaches) {
+  // 72 owners scattered over the 13824 cubes of a 24^3 grid at cube size
+  // 1, so one support reaches up to 64 owners and owner ids pass 63: a
+  // per-node owner set capped at 64 bits would fail here. Three binning
+  // threads, run one after another.
+  constexpr int kOwners = 72;
+  constexpr int kThreads = 3;
+  CubeGrid grid(24, 24, 24, 1);
+  std::vector<int> owner(grid.num_cubes());
+  for (Size c = 0; c < owner.size(); ++c) {
+    owner[c] = static_cast<int>((c * 7919) % kOwners);
+  }
+  const Structure structure = {perturbed_sheet(11), wrapping_sheet(),
+                               clamped_sheet()};
+  SpreadBins bins(structure, owner, kOwners, kThreads);
+  for (int t = 0; t < kThreads; ++t) bins.bin(structure, grid, t);
+
+  Size binned = 0;
+  for (Size s = 0; s < structure.size(); ++s) {
+    const FiberSheet& sheet = structure[s];
+    for (int t = 0; t < kThreads; ++t) {
+      const auto [first, last] =
+          SpreadBins::fiber_block(sheet.num_fibers(), t, kThreads);
+      // Brute force: the owners of the cubes of all 64 lattice indices.
+      std::vector<std::vector<std::uint32_t>> want(kOwners);
+      for (Index f = first; f < last; ++f) {
+        for (Index j = 0; j < sheet.nodes_per_fiber(); ++j) {
+          const Size node = sheet.id(f, j);
+          const Vec3& p = sheet.position(node);
+          std::vector<bool> reached(kOwners, false);
+          for (Index a = 0; a < 4; ++a) {
+            for (Index b = 0; b < 4; ++b) {
+              for (Index c = 0; c < 4; ++c) {
+                const CubeGrid::NodeRef r = grid.locate_periodic(
+                    influence_base(p.x) + a, influence_base(p.y) + b,
+                    influence_base(p.z) + c);
+                reached[static_cast<Size>(owner[r.cube])] = true;
+              }
+            }
+          }
+          for (int o = 0; o < kOwners; ++o) {
+            if (reached[static_cast<Size>(o)]) {
+              want[static_cast<Size>(o)].push_back(
+                  static_cast<std::uint32_t>(node));
+            }
+          }
+        }
+      }
+      for (int o = 0; o < kOwners; ++o) {
+        const std::span<const std::uint32_t> got = bins.nodes(s, t, o);
+        EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                  want[static_cast<Size>(o)])
+            << "sheet " << s << ", thread " << t << ", owner " << o;
+        binned += got.size();
+      }
+    }
+  }
+  Size total = 0;
+  for (int o = 0; o < kOwners; ++o) total += bins.bin_size(o);
+  EXPECT_EQ(total, binned);
+  // Some support must reach an owner id the 64-bit cap would drop.
+  Size high = 0;
+  for (int o = 64; o < kOwners; ++o) high += bins.bin_size(o);
+  EXPECT_GT(high, 0u);
+}
+
+/// The benchmark's ib_dense_cube input with both sheet offsets fixed at
+/// (0.5, 0.5, 0.5): two 104x104-node 30x30 sheets in a 64x48x48 channel,
+/// cube 8, leading edges pinned, 4 threads.
+SimulationParams ib_dense_cube_fixed_offsets() {
+  SimulationParams p = presets::table1_sequential();
+  p.nx = 64;
+  p.ny = 48;
+  p.nz = 48;
+  p.cube_size = 8;
+  p.num_threads = 4;
+  p.num_fibers = 104;
+  p.nodes_per_fiber = 104;
+  p.sheet_width = 30.0;
+  p.sheet_height = 30.0;
+  p.sheet_origin = {12.5, 9.5, 9.5};
+  p.pin_mode = PinMode::kLeadingEdge;
+  p.extra_sheets.push_back({104, 104, 30.0, 30.0, {38.5, 9.5, 9.5}, 0.02,
+                            0.002, 0.0, PinMode::kLeadingEdge});
+  p.validate();
+  return p;
+}
+
+TEST(CubeSpread, DenseSheetBinsShrinkToAboutAQuarterPerOwner) {
+  // Each of 4 owners walks only its bin: about N/4 of the N fiber nodes
+  // plus the nodes whose support straddles its boundary, where the walk
+  // of every node by every owner visited N each.
+  CubeSolver solver(ib_dense_cube_fixed_offsets());
+  solver.run(50);
+  const Structure& structure = solver.structure();
+  Size n = 0;
+  for (const FiberSheet& sheet : structure) n += sheet.num_nodes();
+  SpreadBins bins(structure, solver.distribution().owner_table(), 4, 4);
+  for (int t = 0; t < 4; ++t) bins.bin(structure, solver.cubes(), t);
+  Size sum = 0;
+  for (int o = 0; o < 4; ++o) {
+    const Size size = bins.bin_size(o);
+    std::printf("owner %d bins %zu of %zu fiber nodes\n", o, size, n);
+    RecordProperty("owner" + std::to_string(o) + "_nodes",
+                   static_cast<int>(size));
+    EXPECT_LT(size, n / 2) << "owner " << o;
+    sum += size;
+  }
+  // Every node reaches at least one owner.
+  EXPECT_GE(sum, n);
 }
 
 TEST(CubeSpread, MoveFibersMatchesPlanar) {

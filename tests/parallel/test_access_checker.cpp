@@ -194,6 +194,10 @@ TEST(AccessCheckerHooks, AddForceFiresOnUnlockedForeignWrite) {
   EXPECT_THROW(g.grid.add_force(0, 0, {1.0, 0.0, 0.0}), Error);
   // The owner writes the same node freely.
   EXPECT_NO_THROW(g.grid.add_force(7, 0, {1.0, 0.0, 0.0}));
+  // The same for the z-run add every spread writes through.
+  const Real w[3] = {0.25, 0.0, 0.5};
+  EXPECT_THROW(g.grid.add_force_run(0, 0, w, 3, {1.0, 0.0, 0.0}), Error);
+  EXPECT_NO_THROW(g.grid.add_force_run(7, 0, w, 3, {1.0, 0.0, 0.0}));
 }
 
 TEST(AccessCheckerHooks, AddForceLockedValidatesLockIndex) {

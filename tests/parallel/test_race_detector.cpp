@@ -435,20 +435,30 @@ TEST(RaceDetectorPrimitives, ThreadTeamForkJoinOrders) {
 
 TEST(RaceDetectorInjection, ForeignUnlockedWriteDetected) {
   // Thread A writes cube 0's force field under the owner's lock; thread B
-  // bypasses the lock. Must fire on every run.
-  for (int run = 0; run < 10; ++run) {
-    ScopedRaceDetector sd;
-    CubeGrid grid(8, 8, 8, 4);
-    SpinLock owner_lock;
-    EXPECT_THROW(sequenced_on_two_threads(
-                     [&] {
-                       SpinLockGuard guard(owner_lock);
-                       grid.add_force_locked(owner_lock, 0, 0, 0,
-                                             {1e-5, 0.0, 0.0});
-                     },
-                     [&] { grid.add_force(0, 0, {1e-5, 0.0, 0.0}); }),
-                 Error)
-        << "run " << run;
+  // bypasses the lock, through the one-node add or the z-run add every
+  // spread writes through. Must fire on every run.
+  const Real w[3] = {0.25, 0.0, 0.5};
+  for (bool z_run : {false, true}) {
+    for (int run = 0; run < 10; ++run) {
+      ScopedRaceDetector sd;
+      CubeGrid grid(8, 8, 8, 4);
+      SpinLock owner_lock;
+      EXPECT_THROW(sequenced_on_two_threads(
+                       [&] {
+                         SpinLockGuard guard(owner_lock);
+                         grid.add_force_locked(owner_lock, 0, 0, 0,
+                                               {1e-5, 0.0, 0.0});
+                       },
+                       [&] {
+                         if (z_run) {
+                           grid.add_force_run(0, 0, w, 3, {1e-5, 0.0, 0.0});
+                         } else {
+                           grid.add_force(0, 0, {1e-5, 0.0, 0.0});
+                         }
+                       }),
+                   Error)
+          << (z_run ? "z-run add, run " : "one-node add, run ") << run;
+    }
   }
 }
 
