@@ -85,7 +85,7 @@ void CubeSolver::finish_construction(DistributionPolicy policy) {
   grid_.reset_forces(params_.body_force);
 }
 
-void CubeSolver::thread_entry(int tid, Index num_steps,
+void CubeSolver::thread_entry(int tid, Index num_steps, Index steps_before,
                               const StepObserver& observer,
                               Index observer_interval) {
   KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
@@ -203,18 +203,7 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
                                                  : Phase::kCopyDf);
       for (Size cube : my_cubes) {
         if (!params_.fused_step) cube_copy_distributions(grid_, cube);
-        // The reset below writes the force slots directly, bypassing the
-        // hooked add_force accessors.
-        LBMIB_RACE_CHECK(race::access(&grid_, cube, RaceField::kForce,
-                                      RaceAccess::kWrite, "reset forces");)
-        Real* fx = grid_.slot(cube, CubeGrid::kFxSlot);
-        Real* fy = grid_.slot(cube, CubeGrid::kFySlot);
-        Real* fz = grid_.slot(cube, CubeGrid::kFzSlot);
-        for (Size local = 0; local < grid_.nodes_per_cube(); ++local) {
-          fx[local] = params_.body_force.x;
-          fy[local] = params_.body_force.y;
-          fz[local] = params_.body_force.z;
-        }
+        grid_.reset_forces(cube, params_.body_force);
       }
     }
     if (params_.fused_step && tid == 0) {
@@ -230,7 +219,7 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
                StepPhase::kSpread);  // paper barrier #3 (end of step)
 
     if (tid == 0) ++steps_completed_;
-    if (observer && ((step + 1) % observer_interval == 0)) {
+    if (observer && (steps_before + step + 1) % observer_interval == 0) {
       if (tid == 0) observer(*this, steps_completed_ - 1);
       barrier_->arrive_and_wait();
     }
@@ -239,9 +228,10 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
 
 void CubeSolver::run_loop(Index num_steps, const StepObserver& observer,
                           Index observer_interval) {
+  const Index steps_before = steps_completed_;
   ThreadTeam team(params_.num_threads);
   team.run([&](int tid) {
-    thread_entry(tid, num_steps, observer, observer_interval);
+    thread_entry(tid, num_steps, steps_before, observer, observer_interval);
   });
   merge_thread_profiles();
 }

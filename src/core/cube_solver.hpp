@@ -75,8 +75,10 @@ class CubeSolver final : public Solver {
   void finish_construction(DistributionPolicy policy);
 
   /// Body of the paper's Thread_entry_fn for `num_steps` steps.
-  void thread_entry(int tid, Index num_steps, const StepObserver& observer,
-                    Index observer_interval);
+  /// `steps_before` is steps_completed() when the run began (the
+  /// observer's step base).
+  void thread_entry(int tid, Index num_steps, Index steps_before,
+                    const StepObserver& observer, Index observer_interval);
 
   /// Execute `num_steps` steps with a freshly launched persistent team.
   void run_loop(Index num_steps, const StepObserver& observer,

@@ -19,15 +19,16 @@ namespace lbmib {
 
 namespace {
 
-// Task encoding in the queue: positive = COLLIDE+STREAM(cube),
-// negative = -(UPDATE+COPY(cube)) - 1; kEmpty marks an unfilled slot.
+// Task encoding in the queue, for the flat id t * num_cubes + c of cube c
+// at step t of the graph: positive = COLLIDE+STREAM, flat + 1; negative =
+// UPDATE+COPY, -(flat + 1); kEmptySlot marks an unfilled slot.
 constexpr std::int64_t kEmptySlot = std::numeric_limits<std::int64_t>::min();
 
-std::int64_t encode_collide(Size cube) {
-  return static_cast<std::int64_t>(cube) + 1;
+std::int64_t encode_collide(Size flat) {
+  return static_cast<std::int64_t>(flat) + 1;
 }
-std::int64_t encode_update(Size cube) {
-  return -(static_cast<std::int64_t>(cube) + 1);
+std::int64_t encode_update(Size flat) {
+  return -(static_cast<std::int64_t>(flat) + 1);
 }
 
 }  // namespace
@@ -68,8 +69,11 @@ DataflowCubeSolver::DataflowCubeSolver(const SimulationParams& params)
     pending_init_[c] = static_cast<int>(r.size());
   }
 
-  pending_ = std::vector<std::atomic<int>>(ncubes);
-  queue_ = std::vector<std::atomic<std::int64_t>>(2 * ncubes);
+  // Four banks: [phase][parity], each armed with every cube's region size.
+  pending_ = std::vector<std::atomic<int>>(4 * ncubes);
+  for (Size i = 0; i < pending_.size(); ++i) {
+    pending_[i].store(pending_init_[i % ncubes], std::memory_order_relaxed);
+  }
 
   Index global = 0;
   for (Size s = 0; s < structure_.size(); ++s) {
@@ -79,17 +83,32 @@ DataflowCubeSolver::DataflowCubeSolver(const SimulationParams& params)
   }
 
   grid_.reset_forces(params_.body_force);
-  arm_step();
+  arm_graph(1);
 }
 
-void DataflowCubeSolver::arm_step() {
+DataflowCubeSolver::~DataflowCubeSolver() {
+  // Drop the queue's and counters' sync-var clocks so a future allocation
+  // at the same address starts clean.
+  LBMIB_RACE_CHECK(if (RaceDetector* rd = RaceDetector::active()) {
+    for (const auto& q : queue_) rd->forget_sync(&q);
+    for (const auto& p : pending_) rd->forget_sync(&p);
+  })
+}
+
+void DataflowCubeSolver::arm_graph(Index graph_steps) {
   const Size ncubes = grid_.num_cubes();
-  for (Size c = 0; c < ncubes; ++c) {
-    pending_[c].store(pending_init_[c], std::memory_order_relaxed);
-    // Pre-fill the first ncubes slots with the collide tasks; the rest
-    // are filled as dependencies resolve.
-    queue_[c].store(encode_collide(c), std::memory_order_relaxed);
-    queue_[ncubes + c].store(kEmptySlot, std::memory_order_relaxed);
+  const Size slots = 2 * ncubes * static_cast<Size>(graph_steps);
+  if (queue_.size() != slots) {
+    LBMIB_RACE_CHECK(if (RaceDetector* rd = RaceDetector::active()) {
+      for (const auto& q : queue_) rd->forget_sync(&q);
+    })
+    queue_ = std::vector<std::atomic<std::int64_t>>(slots);
+  }
+  // Pre-fill the first ncubes slots with step 0's collide tasks; the rest
+  // are filled as dependencies resolve.
+  for (Size i = 0; i < slots; ++i) {
+    queue_[i].store(i < ncubes ? encode_collide(i) : kEmptySlot,
+                    std::memory_order_relaxed);
   }
   queue_head_.store(0, std::memory_order_relaxed);
   queue_tail_.store(ncubes, std::memory_order_relaxed);
@@ -97,8 +116,30 @@ void DataflowCubeSolver::arm_step() {
   move_cursor_.store(0, std::memory_order_relaxed);
 }
 
+void DataflowCubeSolver::count_down(std::atomic<int>& counter, Size n,
+                                    std::int64_t task) {
+  // Race-detector edges mirror the atomics: contribute the clock BEFORE
+  // the decrement (so every earlier decrementer's clock is in the sync
+  // var by the time the last one re-reads it), re-join it after observing
+  // 1, and release onto the published queue slot. The re-arm is safe: the
+  // chain collide(t) < update(t) < collide(t+1) < update(t+1) <
+  // collide(t+2) keeps the counter's next use, two steps on, behind it.
+  LBMIB_MC_CHECK(mc::sched_point(mc::Op::kEdgeAcqRel, &counter);)
+  LBMIB_RACE_CHECK(race::edge_acq_rel(&counter);)
+  if (counter.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    LBMIB_RACE_CHECK(race::edge_acquire(&counter);)
+    counter.store(pending_init_[n], std::memory_order_relaxed);
+    const Size slot = queue_tail_.fetch_add(1, std::memory_order_relaxed);
+    LBMIB_MC_CHECK(mc::sched_point(mc::Op::kEdgeRelease, &queue_[slot]);)
+    LBMIB_RACE_CHECK(race::edge_release(&queue_[slot]);)
+    queue_[slot].store(task, std::memory_order_release);
+    LBMIB_MC_CHECK(mc::notify(&queue_[slot]);)
+  }
+}
+
 std::int64_t DataflowCubeSolver::take_task(
-    int tid, const std::atomic<std::int64_t>& slot, const char* where) {
+    int tid, const std::atomic<std::int64_t>& slot) {
+  constexpr const char* kWhere = "dataflow:task-slot-wait";
   // The slot may not be published yet; it must become non-empty because
   // every task is produced exactly once — unless the producer died or
   // stalled, which is why the slow (yield) branch of the spin is a
@@ -114,7 +155,7 @@ std::int64_t DataflowCubeSolver::take_task(
              (token != nullptr && token->cancelled());
     });
     if (slot.load(std::memory_order_acquire) == kEmptySlot) {
-      cancel_point(where);
+      cancel_point(kWhere);
     }
   })
   std::int64_t task;
@@ -122,7 +163,7 @@ std::int64_t DataflowCubeSolver::take_task(
   while ((task = slot.load(std::memory_order_acquire)) == kEmptySlot) {
     if (++spins >= 256) {
       spins = 0;
-      cancel_point(where);
+      cancel_point(kWhere);
       std::this_thread::yield();  // oversubscribed hosts
     } else {
 #if defined(__x86_64__) || defined(__i386__)
@@ -142,10 +183,10 @@ std::int64_t DataflowCubeSolver::take_task(
 }
 
 void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
+                                      Index steps_before,
                                       const StepObserver& observer,
                                       Index observer_interval) {
   KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
-  const Size total_tasks = 2 * grid_.num_cubes();
   const Size nfibers = fiber_list_.size();
 
   for (Index step = 0; step < num_steps; ++step) {
@@ -183,71 +224,9 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
     // Spreading complete before collision.
     sync_point("dataflow:barrier:spread", tid, step, barrier_);
 
-    // --- fluid dataflow: COLLIDE+STREAM -> (deps) -> UPDATE+COPY -------
-    // Each task bills its own row; the slot-wait spin bills nothing.
-    {
-      sync_point("dataflow:task-loop", tid, step);
-      Size slot;
-      while ((slot = queue_head_.fetch_add(1, std::memory_order_relaxed)) <
-             total_tasks) {
-        const std::int64_t task =
-            take_task(tid, queue_[slot], "dataflow:task-slot-wait");
-        if (task > 0) {
-          const Size cube = static_cast<Size>(task - 1);
-          KernelScope scope(prof, Phase::kTaskCollideStream,
-                            static_cast<std::int64_t>(cube));
-          if (params_.fused_step) {
-            cube_collide_stream(grid_, params_.tau, cube, params_.simd_step,
-                                mrt_.get());
-          } else {
-            cube_collide(grid_, params_.tau, cube, mrt_.get());
-            cube_stream(grid_, cube);
-          }
-          // Resolve dependencies: the last streamer of a neighbourhood
-          // publishes that cube's update task. Race-detector edges mirror
-          // the atomics: contribute the clock BEFORE the decrement (so
-          // every earlier decrementer's clock is in the sync var by the
-          // time the last one re-reads it), re-join it after observing 1,
-          // and release onto the published queue slot.
-          for (Size n : region_[cube]) {
-            LBMIB_MC_CHECK(
-                mc::sched_point(mc::Op::kEdgeAcqRel, &pending_[n]);)
-            LBMIB_RACE_CHECK(race::edge_acq_rel(&pending_[n]);)
-            if (pending_[n].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-              LBMIB_RACE_CHECK(race::edge_acquire(&pending_[n]);)
-              const Size out =
-                  queue_tail_.fetch_add(1, std::memory_order_relaxed);
-              LBMIB_RACE_CHECK(race::edge_release(&queue_[out]);)
-              queue_[out].store(encode_update(n),
-                                std::memory_order_release);
-              LBMIB_MC_CHECK(mc::notify(&queue_[out]);)
-            }
-          }
-        } else {
-          const Size cube = static_cast<Size>(-task - 1);
-          KernelScope scope(prof, Phase::kTaskUpdateCopy,
-                            static_cast<std::int64_t>(cube));
-          if (uses_inlet_outlet(params_.boundary)) {
-            cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
-          }
-          cube_update_velocity(grid_, cube);
-          if (!params_.fused_step) cube_copy_distributions(grid_, cube);
-          // Reset forces for the next step's spreading (raw slot writes,
-          // bypassing the hooked add_force accessors).
-          LBMIB_RACE_CHECK(race::access(&grid_, cube, RaceField::kForce,
-                                        RaceAccess::kWrite,
-                                        "reset forces");)
-          Real* fx = grid_.slot(cube, CubeGrid::kFxSlot);
-          Real* fy = grid_.slot(cube, CubeGrid::kFySlot);
-          Real* fz = grid_.slot(cube, CubeGrid::kFzSlot);
-          for (Size l = 0; l < grid_.nodes_per_cube(); ++l) {
-            fx[l] = params_.body_force.x;
-            fy[l] = params_.body_force.y;
-            fz[l] = params_.body_force.z;
-          }
-        }
-      }
-    }
+    // --- fluid dataflow: this step's task graph
+    sync_point("dataflow:task-loop", tid, step);
+    run_tasks(tid, 1);
     // All velocities in place.
     sync_point("dataflow:barrier:tasks-done", tid, step, barrier_);
 
@@ -266,192 +245,131 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
     sync_point("dataflow:barrier:moved", tid, step, barrier_);
 
     if (tid == 0) {
-      // Kernel 9 of the fused pipeline: flip the grid's df/df_new bases
-      // once per step. Safe here: the "positions settled" barrier is
-      // behind every thread and nobody touches the grid until the
-      // re-arm barrier below publishes the flip.
-      if (params_.fused_step) {
-        KernelScope scope(prof, Phase::kSwapDf);
-        grid_.swap_df_buffers();
-      }
-      ++steps_completed_;
-      arm_step();
+      // Safe here: the "positions settled" barrier is behind every thread
+      // and nobody touches the grid until the re-arm barrier below
+      // publishes the flip and the next graph.
+      finish_graph(prof, 1);
+      if (step + 1 < num_steps) arm_graph(1);
     }
     // Queue re-armed for everyone.
     sync_point("dataflow:barrier:rearm", tid, step, barrier_);
 
-    if (observer && ((step + 1) % observer_interval == 0)) {
+    if (observer && (steps_before + step + 1) % observer_interval == 0) {
       if (tid == 0) observer(*this, steps_completed_ - 1);
       barrier_.arrive_and_wait();
     }
   }
 }
 
-void DataflowCubeSolver::run_overlapped(Index num_steps) {
-  // One task graph for the whole run. Task encoding: for step t,
-  //   collide(t, c) = t * 2*ncubes + c + 1          (positive family)
-  //   update(t, c)  = -(t * 2*ncubes + c + 1)       (negative family)
-  // Dependency counters are per cube with one bank per step *parity*;
-  // a counter is re-armed for step t+2 the moment it fires for step t
-  // (safe: the chain collide(t) < update(t) < collide(t+1) < update(t+1)
-  // < collide(t+2) guarantees no step-(t+2) decrement can arrive before
-  // the re-arm).
+void DataflowCubeSolver::run_tasks(int tid, Index graph_steps) {
+  KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
   const Size ncubes = grid_.num_cubes();
-  const Size per_step = 2 * ncubes;
-  const Size total_tasks = per_step * static_cast<Size>(num_steps);
-
-  std::vector<std::atomic<std::int64_t>> queue(total_tasks);
-  for (auto& q : queue) q.store(kEmptySlot, std::memory_order_relaxed);
-  // pending[phase][parity][cube]: phase 0 = collide, 1 = update.
-  std::vector<std::atomic<int>> pending(4 * ncubes);
-  for (Size c = 0; c < ncubes; ++c) {
-    // Step 0 collides unconditionally (seeded below); its parity-0
-    // collide bank is armed for step 2.
-    pending[0 * ncubes + c].store(pending_init_[c]);  // collide, parity 0
-    pending[1 * ncubes + c].store(pending_init_[c]);  // collide, parity 1
-    pending[2 * ncubes + c].store(pending_init_[c]);  // update,  parity 0
-    pending[3 * ncubes + c].store(pending_init_[c]);  // update,  parity 1
-    queue[c].store(static_cast<std::int64_t>(c) + 1,
-                   std::memory_order_relaxed);  // seed collide(0, c)
-  }
-  std::atomic<Size> head{0};
-  std::atomic<Size> tail{ncubes};
-
-  auto publish = [&](std::int64_t task) {
-    const Size slot = tail.fetch_add(1, std::memory_order_relaxed);
-    LBMIB_MC_CHECK(mc::sched_point(mc::Op::kEdgeRelease, &queue[slot]);)
-    LBMIB_RACE_CHECK(race::edge_release(&queue[slot]);)
-    queue[slot].store(task, std::memory_order_release);
-    LBMIB_MC_CHECK(mc::notify(&queue[slot]);)
-  };
-
-  // Fused pipeline: there is no per-step copy (and no quiescent point to
-  // flip the grid's bases at), so swap parity is tracked per *step* and
-  // passed to the kernels explicitly — step t reads the field that step
-  // t-1 wrote. The task graph already orders every access:
-  // collide(t, n) < update(t, n) < collide(t+1, m) for every m with
-  // n in region(m), so step t's source planes are fully read before
-  // collide(t+1) starts overwriting them. The grid's own bases are
-  // reconciled once after the run.
+  const Size total_tasks = 2 * ncubes * static_cast<Size>(graph_steps);
+  // Fused pipeline: there is no per-step copy (and no quiescent point
+  // inside a graph to flip the grid's bases at), so parity is tracked per
+  // *step* and passed to the kernels explicitly — step t reads the field
+  // that step t-1 wrote, at parity p0 ^ (t & 1). The task graph already
+  // orders every access: collide(t, n) < update(t, n) < collide(t+1, m)
+  // for every m with n in region(m), so step t's source planes are fully
+  // read before collide(t+1) starts overwriting them. finish_graph
+  // reconciles the grid's bases once after the graph.
   const bool p0 = grid_.swap_parity();
+  // A fiber-free force field never leaves the body force.
+  const bool reset_forces = !fiber_list_.empty();
+  // Each task bills its own row; the slot-wait spin bills nothing.
+  Size slot;
+  while ((slot = queue_head_.fetch_add(1, std::memory_order_relaxed)) <
+         total_tasks) {
+    // No step number in a multi-step graph: a task's step is known only
+    // once it is read.
+    if (graph_steps > 1) sync_point("dataflow:overlapped-task", tid, -1);
+    const std::int64_t task = take_task(tid, queue_[slot]);
+    const bool is_collide = task > 0;
+    const Size flat = static_cast<Size>(is_collide ? task - 1 : -task - 1);
+    const Size step = flat / ncubes;
+    const Size cube = flat % ncubes;
+    const Size parity = step & 1;
+    // The reference pipeline copies df_new back every step, so its
+    // parity never moves.
+    const bool src_parity = p0 != (params_.fused_step && parity != 0);
+    const Size src_base = CubeGrid::df_base_for(src_parity);
+    const Size dst_base = CubeGrid::df_base_for(!src_parity);
+    KernelScope scope(prof,
+                      is_collide ? Phase::kTaskCollideStream
+                                 : Phase::kTaskUpdateCopy,
+                      static_cast<std::int64_t>(cube));
 
-  ThreadTeam team(params_.num_threads);
-  team.run([&](int tid) {
-    KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
-    Size slot;
-    while ((slot = head.fetch_add(1, std::memory_order_relaxed)) <
-           total_tasks) {
-      // No step number: a task's step is known only once it is read.
-      sync_point("dataflow:overlapped-task", tid, -1);
-      const std::int64_t task =
-          take_task(tid, queue[slot], "dataflow:overlapped-slot-wait");
-      const bool is_collide = task > 0;
-      const Size flat = static_cast<Size>(is_collide ? task - 1 : -task - 1);
-      const Size step = flat / per_step;
-      const Size cube = flat % per_step;  // < ncubes by construction
-      const Size parity = step & 1;
-      // Step t's df lives at parity p0 ^ (t & 1); its df_new at the other.
-      const bool src_parity = p0 != ((step & 1) != 0);
-      const Size src_base = CubeGrid::df_base_for(src_parity);
-      const Size dst_base = CubeGrid::df_base_for(!src_parity);
-      KernelScope scope(prof,
-                        is_collide ? Phase::kTaskCollideStream
-                                   : Phase::kTaskUpdateCopy,
-                        static_cast<std::int64_t>(cube));
-
-      if (is_collide) {
-        if (params_.fused_step) {
-          cube_collide_stream(grid_, params_.tau, cube, src_base, dst_base,
-                              params_.simd_step, mrt_.get());
-        } else {
-          cube_collide(grid_, params_.tau, cube, mrt_.get());
-          cube_stream(grid_, cube);
-        }
-        // Enable update(step, n) for completed neighbourhoods.
-        for (Size n : region_[cube]) {
-          auto& counter = pending[(2 + parity) * ncubes + n];
-          LBMIB_MC_CHECK(mc::sched_point(mc::Op::kEdgeAcqRel, &counter);)
-          LBMIB_RACE_CHECK(race::edge_acq_rel(&counter);)
-          if (counter.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            LBMIB_RACE_CHECK(race::edge_acquire(&counter);)
-            counter.store(pending_init_[n], std::memory_order_relaxed);
-            publish(-(static_cast<std::int64_t>(step * per_step + n) + 1));
-          }
-        }
+    if (is_collide) {
+      if (params_.fused_step) {
+        cube_collide_stream(grid_, params_.tau, cube, src_base, dst_base,
+                            params_.simd_step, mrt_.get());
       } else {
-        if (params_.fused_step) {
-          if (uses_inlet_outlet(params_.boundary)) {
-            cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube,
-                                    dst_base);
-          }
-          cube_update_velocity(grid_, cube, dst_base);
-        } else {
-          if (uses_inlet_outlet(params_.boundary)) {
-            cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
-          }
-          cube_update_velocity(grid_, cube);
-          cube_copy_distributions(grid_, cube);
-        }
-        if (step + 1 < static_cast<Size>(num_steps)) {
-          // Enable collide(step+1, n): it may only touch cubes whose
-          // step-`step` state is fully retired.
-          const Size next_parity = (step + 1) & 1;
-          for (Size n : region_[cube]) {
-            auto& counter = pending[next_parity * ncubes + n];
-            LBMIB_MC_CHECK(mc::sched_point(mc::Op::kEdgeAcqRel, &counter);)
-            LBMIB_RACE_CHECK(race::edge_acq_rel(&counter);)
-            if (counter.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-              LBMIB_RACE_CHECK(race::edge_acquire(&counter);)
-              counter.store(pending_init_[n], std::memory_order_relaxed);
-              publish(static_cast<std::int64_t>((step + 1) * per_step + n) +
-                      1);
-            }
-          }
+        cube_collide(grid_, params_.tau, cube, mrt_.get());
+        cube_stream(grid_, cube);
+      }
+      // The last streamer of a neighbourhood publishes that cube's update.
+      for (Size n : region_[cube]) {
+        count_down(pending_[(2 + parity) * ncubes + n], n,
+                   encode_update(step * ncubes + n));
+      }
+    } else {
+      if (uses_inlet_outlet(params_.boundary)) {
+        cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube,
+                                dst_base);
+      }
+      cube_update_velocity(grid_, cube, dst_base);
+      if (!params_.fused_step) cube_copy_distributions(grid_, cube);
+      // Reset forces for the next step's spreading.
+      if (reset_forces) grid_.reset_forces(cube, params_.body_force);
+      if (step + 1 < static_cast<Size>(graph_steps)) {
+        // collide(step+1, n) may only touch cubes whose step-`step` state
+        // is fully retired.
+        const Size next_parity = (step + 1) & 1;
+        for (Size n : region_[cube]) {
+          count_down(pending_[next_parity * ncubes + n], n,
+                     encode_collide((step + 1) * ncubes + n));
         }
       }
     }
-  });
-  // The queue and counters live on this stack frame; drop their sync-var
-  // clocks so a future allocation at the same address starts clean.
-  LBMIB_RACE_CHECK(if (RaceDetector* rd = RaceDetector::active()) {
-    for (const auto& q : queue) rd->forget_sync(&q);
-    for (const auto& p : pending) rd->forget_sync(&p);
-  })
-  if (params_.fused_step) {
-    // Reconcile the grid's bases with where the last step left the data:
-    // step num_steps-1 wrote its result at parity p0 ^ (num_steps & 1).
-    grid_.set_swap_parity(p0 != ((num_steps & 1) != 0));
   }
-  steps_completed_ += num_steps;
-  merge_thread_profiles();
-  // Leave the per-step machinery armed for subsequent stepwise runs.
-  arm_step();
 }
 
-void DataflowCubeSolver::run_loop(Index num_steps,
-                                  const StepObserver& observer,
-                                  Index observer_interval) {
-  ThreadTeam team(params_.num_threads);
-  team.run([&](int tid) {
-    thread_entry(tid, num_steps, observer, observer_interval);
-  });
-  merge_thread_profiles();
+void DataflowCubeSolver::finish_graph(KernelProfiler& prof,
+                                      Index graph_steps) {
+  // Kernel 9 of the fused pipeline: step t of the graph wrote its result
+  // at parity p0 ^ (t & 1) ^ 1, so a graph over an odd number of steps
+  // leaves it at the flipped parity.
+  if (params_.fused_step && graph_steps % 2 == 1) {
+    KernelScope scope(prof, Phase::kSwapDf);
+    grid_.swap_df_buffers();
+  }
+  steps_completed_ += graph_steps;
 }
 
-void DataflowCubeSolver::step() { run_loop(1, nullptr, 1); }
+void DataflowCubeSolver::step() { run(1); }
 
 void DataflowCubeSolver::run(Index num_steps, const StepObserver& observer,
                              Index observer_interval) {
   require(observer_interval >= 1, "observer interval must be >= 1");
   if (num_steps <= 0) return;
-  // Fiber-free multi-step runs with no observer can overlap time steps
-  // entirely (the paper's "overlapping different time steps" future
-  // work); anything else uses the per-step pipeline.
-  if (fiber_list_.empty() && !observer && num_steps > 1) {
-    run_overlapped(num_steps);
-    return;
+  // Fiber-free multi-step runs with no observer run one graph over the
+  // whole run, overlapping its time steps (the paper's "overlapping
+  // different time steps" future work); anything else runs one graph per
+  // step.
+  const bool whole_run = fiber_list_.empty() && !observer && num_steps > 1;
+  arm_graph(whole_run ? num_steps : 1);
+  const Index steps_before = steps_completed_;
+  ThreadTeam team(params_.num_threads);
+  if (whole_run) {
+    team.run([&](int tid) { run_tasks(tid, num_steps); });
+    finish_graph(thread_profiles_[0], num_steps);
+  } else {
+    team.run([&](int tid) {
+      thread_entry(tid, num_steps, steps_before, observer,
+                   observer_interval);
+    });
   }
-  run_loop(num_steps, observer, observer_interval);
+  merge_thread_profiles();
 }
 
 void DataflowCubeSolver::snapshot_fluid(FluidGrid& out) const {

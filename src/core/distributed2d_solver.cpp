@@ -18,22 +18,69 @@ namespace lbmib {
 
 namespace {
 
-// Populations crossing each face / corner of an (x, y) tile.
-constexpr int kDirsPlusX[5] = {1, 7, 9, 11, 13};
-constexpr int kDirsMinusX[5] = {2, 8, 10, 12, 14};
-constexpr int kDirsPlusY[5] = {3, 7, 10, 15, 17};
-constexpr int kDirsMinusY[5] = {4, 8, 9, 16, 18};
-constexpr int kDirPXPY = 7;   // (+1, +1)
-constexpr int kDirPXMY = 9;   // (+1, -1)
-constexpr int kDirMXPY = 10;  // (-1, +1)
-constexpr int kDirMXMY = 8;   // (-1, -1)
+// One halo message: the populations travelling by (ox, oy) in x and y,
+// tagged by that direction of travel. A population travels with (ox, oy)
+// when its velocity has cx = ox wherever ox != 0 and cy = oy wherever
+// oy != 0: the 5 crossing an x or y face, or the 1 crossing an xy edge.
+struct HaloRoute {
+  int ox, oy, tag;
+  int dirs[5];  // ascending
+  int ndirs;
+};
 
-// Message tags (direction of travel).
-constexpr int kTagFacePX = 1, kTagFaceMX = 2;
-constexpr int kTagFacePY = 3, kTagFaceMY = 4;
-constexpr int kTagCornerPP = 5, kTagCornerPM = 6;
-constexpr int kTagCornerMP = 7, kTagCornerMM = 8;
+constexpr HaloRoute halo_route(int ox, int oy, int tag) {
+  HaloRoute route{ox, oy, tag, {}, 0};
+  for (int dir = 0; dir < kQ; ++dir) {
+    if ((ox == 0 || d3q19::cx[static_cast<Size>(dir)] == ox) &&
+        (oy == 0 || d3q19::cy[static_cast<Size>(dir)] == oy)) {
+      route.dirs[route.ndirs++] = dir;
+    }
+  }
+  return route;
+}
+
+// The 8 messages of a step in send order: 4 faces, then 4 corners.
+constexpr HaloRoute kHaloRoutes[] = {
+    halo_route(+1, 0, 1),  halo_route(-1, 0, 2),  halo_route(0, +1, 3),
+    halo_route(0, -1, 4),  halo_route(+1, +1, 5), halo_route(+1, -1, 6),
+    halo_route(-1, +1, 7), halo_route(-1, -1, 8)};
+static_assert(kHaloRoutes[0].ndirs == 5 && kHaloRoutes[4].ndirs == 1);
+
 constexpr int kTagMoveReduce = 9;
+
+/// Inclusive local index range along one axis of a tile with n real
+/// columns (ghosts at 0 and n + 1).
+struct Span {
+  Index lo, hi;
+  Size size() const { return static_cast<Size>(hi - lo + 1); }
+  bool contains(Index i) const { return i >= lo && i <= hi; }
+};
+
+/// Where a message travelling by o along the axis is packed: the ghost
+/// layer on the neighbour's side, or the real columns when o == 0. A
+/// receiver finds the message's sources in ghost_span(-o, n).
+Span ghost_span(int o, Index n) {
+  return o > 0 ? Span{n + 1, n + 1} : o < 0 ? Span{0, 0} : Span{1, n};
+}
+
+/// Where it is unpacked: the real edge it enters through.
+Span edge_span(int o, Index n) {
+  return o > 0 ? Span{1, 1} : o < 0 ? Span{n, n} : Span{1, n};
+}
+
+/// Every field of planar node `src` of `from` into node `dst` of `to`.
+void copy_node(const FluidGrid& from, Size src, FluidGrid& to, Size dst) {
+  for (int dir = 0; dir < kQ; ++dir) {
+    to.df(dir, dst) = from.df(dir, src);
+    to.df_new(dir, dst) = from.df_new(dir, src);
+  }
+  to.rho(dst) = from.rho(src);
+  to.set_velocity(dst, from.velocity(src));
+  to.fx(dst) = from.fx(src);
+  to.fy(dst) = from.fy(src);
+  to.fz(dst) = from.fz(src);
+  to.set_solid(dst, from.solid(src));
+}
 
 /// Rx x Ry factorization of `n` with Rx >= Ry as balanced as possible.
 std::pair<int, int> balanced_2d(int n) {
@@ -128,139 +175,61 @@ void Distributed2DSolver::exchange_halos(int rank) {
                          RaceField::kDfNew, RaceAccess::kWrite,
                          "exchange_halos: unpack");)
 
-  // --- pack -----------------------------------------------------------
-  auto pack_x_face = [&](Index lx, const int dirs[5]) {
-    std::vector<Real> data(5 * static_cast<Size>(lny) *
-                           static_cast<Size>(nz));
+  // One pack per message: the ghost cells on the neighbour's side.
+  for (const HaloRoute& route : kHaloRoutes) {
+    const Span xs = ghost_span(route.ox, lnx);
+    const Span ys = ghost_span(route.oy, lny);
+    std::vector<Real> data(static_cast<Size>(route.ndirs) * xs.size() *
+                           ys.size() * static_cast<Size>(nz));
     Size i = 0;
-    for (int d = 0; d < 5; ++d) {
-      for (Index ly = 1; ly <= lny; ++ly) {
-        for (Index z = 0; z < nz; ++z) {
-          data[i++] = grid.df_new(dirs[d], grid.index(lx, ly, z));
+    for (int d = 0; d < route.ndirs; ++d) {
+      for (Index lx = xs.lo; lx <= xs.hi; ++lx) {
+        for (Index ly = ys.lo; ly <= ys.hi; ++ly) {
+          for (Index z = 0; z < nz; ++z) {
+            data[i++] = grid.df_new(route.dirs[d], grid.index(lx, ly, z));
+          }
         }
       }
     }
-    return data;
-  };
-  auto pack_y_face = [&](Index ly, const int dirs[5]) {
-    std::vector<Real> data(5 * static_cast<Size>(lnx) *
-                           static_cast<Size>(nz));
-    Size i = 0;
-    for (int d = 0; d < 5; ++d) {
-      for (Index lx = 1; lx <= lnx; ++lx) {
-        for (Index z = 0; z < nz; ++z) {
-          data[i++] = grid.df_new(dirs[d], grid.index(lx, ly, z));
-        }
-      }
-    }
-    return data;
-  };
-  auto pack_corner = [&](Index lx, Index ly, int dir) {
-    std::vector<Real> data(static_cast<Size>(nz));
-    for (Index z = 0; z < nz; ++z) {
-      data[static_cast<Size>(z)] = grid.df_new(dir, grid.index(lx, ly, z));
-    }
-    return data;
-  };
+    comm_.send(rank, rank_id(tx + route.ox, ty + route.oy),
+               Message{route.tag, std::move(data)});
+  }
 
-  comm_.send(rank, rank_id(tx + 1, ty),
-             Message{kTagFacePX, pack_x_face(lnx + 1, kDirsPlusX)});
-  comm_.send(rank, rank_id(tx - 1, ty),
-             Message{kTagFaceMX, pack_x_face(0, kDirsMinusX)});
-  comm_.send(rank, rank_id(tx, ty + 1),
-             Message{kTagFacePY, pack_y_face(lny + 1, kDirsPlusY)});
-  comm_.send(rank, rank_id(tx, ty - 1),
-             Message{kTagFaceMY, pack_y_face(0, kDirsMinusY)});
-  comm_.send(rank, rank_id(tx + 1, ty + 1),
-             Message{kTagCornerPP, pack_corner(lnx + 1, lny + 1, kDirPXPY)});
-  comm_.send(rank, rank_id(tx + 1, ty - 1),
-             Message{kTagCornerPM, pack_corner(lnx + 1, 0, kDirPXMY)});
-  comm_.send(rank, rank_id(tx - 1, ty + 1),
-             Message{kTagCornerMP, pack_corner(0, lny + 1, kDirMXPY)});
-  comm_.send(rank, rank_id(tx - 1, ty - 1),
-             Message{kTagCornerMM, pack_corner(0, 0, kDirMXMY)});
-
-  // --- unpack ----------------------------------------------------------
-  // A slot is taken from the face message only when its sending-side
-  // source lies inside the sender's tile (diagonal edge slots arrive via
-  // the corner messages instead) and is not a wall (wall-sourced slots
-  // were bounce-filled locally).
-  auto source_ok = [&](Index sx, Index sy, Index sz) {
-    return !grid.solid(grid.index(sx, sy, sz));
-  };
-  auto unpack_x_face = [&](Index dst_lx, const int dirs[5],
-                           const std::vector<Real>& data) {
+  // One unpack per message, into the real edge. A slot is kept only when
+  // its source, dst - c, lies on the sender's side of the tile (a
+  // diagonal edge slot whose source sits in a corner-adjacent rank
+  // arrives with that corner's message instead) and is not a wall
+  // (wall-sourced slots were bounce-filled locally).
+  for (const HaloRoute& route : kHaloRoutes) {
+    const Message message =
+        comm_.recv(rank, rank_id(tx - route.ox, ty - route.oy), route.tag);
+    const Span xs = edge_span(route.ox, lnx);
+    const Span ys = edge_span(route.oy, lny);
+    const Span from_x = ghost_span(-route.ox, lnx);
+    const Span from_y = ghost_span(-route.oy, lny);
     Size i = 0;
-    for (int d = 0; d < 5; ++d) {
-      const int dir = dirs[d];
+    for (int d = 0; d < route.ndirs; ++d) {
+      const int dir = route.dirs[d];
+      const Index cxd = cx[static_cast<Size>(dir)];
       const Index cyd = cy[static_cast<Size>(dir)];
       const Index czd = cz[static_cast<Size>(dir)];
-      for (Index ly = 1; ly <= lny; ++ly) {
-        for (Index z = 0; z < nz; ++z, ++i) {
-          const Size dst = grid.index(dst_lx, ly, z);
-          if (grid.solid(dst)) continue;
-          const Index sy = ly - cyd;
-          if (sy < 1 || sy > lny) continue;  // corner-owned slot
-          const Index sx = dst_lx == 1 ? 0 : lnx + 1;
-          if (!source_ok(sx, sy, FluidGrid::wrap(z - czd, nz))) continue;
-          grid.df_new(dir, dst) = data[i];
+      for (Index lx = xs.lo; lx <= xs.hi; ++lx) {
+        for (Index ly = ys.lo; ly <= ys.hi; ++ly) {
+          for (Index z = 0; z < nz; ++z, ++i) {
+            const Size dst = grid.index(lx, ly, z);
+            if (grid.solid(dst)) continue;
+            const Index sx = lx - cxd;
+            const Index sy = ly - cyd;
+            if (!from_x.contains(sx) || !from_y.contains(sy)) continue;
+            if (grid.solid(grid.index(sx, sy, FluidGrid::wrap(z - czd, nz)))) {
+              continue;
+            }
+            grid.df_new(dir, dst) = message.data[i];
+          }
         }
       }
     }
-  };
-  auto unpack_y_face = [&](Index dst_ly, const int dirs[5],
-                           const std::vector<Real>& data) {
-    Size i = 0;
-    for (int d = 0; d < 5; ++d) {
-      const int dir = dirs[d];
-      const Index cxd = cx[static_cast<Size>(dir)];
-      const Index czd = cz[static_cast<Size>(dir)];
-      for (Index lx = 1; lx <= lnx; ++lx) {
-        for (Index z = 0; z < nz; ++z, ++i) {
-          const Size dst = grid.index(lx, dst_ly, z);
-          if (grid.solid(dst)) continue;
-          const Index sx = lx - cxd;
-          if (sx < 1 || sx > lnx) continue;  // corner-owned slot
-          const Index sy = dst_ly == 1 ? 0 : lny + 1;
-          if (!source_ok(sx, sy, FluidGrid::wrap(z - czd, nz))) continue;
-          grid.df_new(dir, dst) = data[i];
-        }
-      }
-    }
-  };
-  auto unpack_corner = [&](Index dst_lx, Index dst_ly, int dir,
-                           const std::vector<Real>& data) {
-    const Index czd = cz[static_cast<Size>(dir)];
-    const Index sx = dst_lx == 1 ? 0 : lnx + 1;
-    const Index sy = dst_ly == 1 ? 0 : lny + 1;
-    for (Index z = 0; z < nz; ++z) {
-      const Size dst = grid.index(dst_lx, dst_ly, z);
-      if (grid.solid(dst)) continue;
-      if (!source_ok(sx, sy, FluidGrid::wrap(z - czd, nz))) continue;
-      grid.df_new(dir, dst) = data[static_cast<Size>(z)];
-    }
-  };
-
-  unpack_x_face(1, kDirsPlusX,
-                comm_.recv(rank, rank_id(tx - 1, ty), kTagFacePX).data);
-  unpack_x_face(lnx, kDirsMinusX,
-                comm_.recv(rank, rank_id(tx + 1, ty), kTagFaceMX).data);
-  unpack_y_face(1, kDirsPlusY,
-                comm_.recv(rank, rank_id(tx, ty - 1), kTagFacePY).data);
-  unpack_y_face(lny, kDirsMinusY,
-                comm_.recv(rank, rank_id(tx, ty + 1), kTagFaceMY).data);
-  unpack_corner(
-      1, 1, kDirPXPY,
-      comm_.recv(rank, rank_id(tx - 1, ty - 1), kTagCornerPP).data);
-  unpack_corner(
-      1, lny, kDirPXMY,
-      comm_.recv(rank, rank_id(tx - 1, ty + 1), kTagCornerPM).data);
-  unpack_corner(
-      lnx, 1, kDirMXPY,
-      comm_.recv(rank, rank_id(tx + 1, ty - 1), kTagCornerMP).data);
-  unpack_corner(
-      lnx, lny, kDirMXMY,
-      comm_.recv(rank, rank_id(tx + 1, ty + 1), kTagCornerMM).data);
+  }
 }
 
 void Distributed2DSolver::move_fibers_allreduce(Rank& r, int rank) {
@@ -296,6 +265,7 @@ void Distributed2DSolver::move_fibers_allreduce(Rank& r, int rank) {
 }
 
 void Distributed2DSolver::rank_entry(int rank, Index num_steps,
+                                     Index steps_before,
                                      const StepObserver& observer,
                                      Index observer_interval) {
   Rank& r = ranks_[static_cast<Size>(rank)];
@@ -394,7 +364,7 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
 
     sync_point("distributed2d:barrier:step-end", rank, step, barrier_);
     if (rank == 0) ++steps_completed_;
-    if (observer && ((step + 1) % observer_interval == 0)) {
+    if (observer && (steps_before + step + 1) % observer_interval == 0) {
       if (rank == 0) {
         structure_ = r.structure;
         observer(*this, steps_completed_ - 1);
@@ -407,9 +377,10 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
 void Distributed2DSolver::run_loop(Index num_steps,
                                    const StepObserver& observer,
                                    Index observer_interval) {
+  const Index steps_before = steps_completed_;
   ThreadTeam team(params_.num_threads);
   team.run([&](int rank) {
-    rank_entry(rank, num_steps, observer, observer_interval);
+    rank_entry(rank, num_steps, steps_before, observer, observer_interval);
   });
   structure_ = ranks_[0].structure;
   merge_thread_profiles();
@@ -435,18 +406,7 @@ void Distributed2DSolver::restore_fluid(const FluidGrid& fluid) {
       for (Index ly = 0; ly <= r.tile.y_hi - r.tile.y_lo + 1; ++ly) {
         const Index gy = FluidGrid::wrap(r.tile.y_lo + ly - 1, params_.ny);
         for (Index z = 0; z < params_.nz; ++z) {
-          const Size src = fluid.index(gx, gy, z);
-          const Size dst = grid.index(lx, ly, z);
-          for (int dir = 0; dir < kQ; ++dir) {
-            grid.df(dir, dst) = fluid.df(dir, src);
-            grid.df_new(dir, dst) = fluid.df_new(dir, src);
-          }
-          grid.rho(dst) = fluid.rho(src);
-          grid.set_velocity(dst, fluid.velocity(src));
-          grid.fx(dst) = fluid.fx(src);
-          grid.fy(dst) = fluid.fy(src);
-          grid.fz(dst) = fluid.fz(src);
-          grid.set_solid(dst, fluid.solid(src));
+          copy_node(fluid, fluid.index(gx, gy, z), grid, grid.index(lx, ly, z));
         }
       }
     }
@@ -471,18 +431,7 @@ void Distributed2DSolver::snapshot_fluid(FluidGrid& out) const {
         const Index lx = gx - r.tile.x_lo + 1;
         const Index ly = gy - r.tile.y_lo + 1;
         for (Index z = 0; z < params_.nz; ++z) {
-          const Size src = grid.index(lx, ly, z);
-          const Size dst = out.index(gx, gy, z);
-          for (int dir = 0; dir < kQ; ++dir) {
-            out.df(dir, dst) = grid.df(dir, src);
-            out.df_new(dir, dst) = grid.df_new(dir, src);
-          }
-          out.rho(dst) = grid.rho(src);
-          out.set_velocity(dst, grid.velocity(src));
-          out.fx(dst) = grid.fx(src);
-          out.fy(dst) = grid.fy(src);
-          out.fz(dst) = grid.fz(src);
-          out.set_solid(dst, grid.solid(src));
+          copy_node(grid, grid.index(lx, ly, z), out, out.index(gx, gy, z));
         }
       }
     }

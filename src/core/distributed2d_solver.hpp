@@ -20,14 +20,18 @@
 //      — spreading needs no communication at all;
 //   2. collides and push-streams locally, spilling crossing populations
 //      into the ghost layers;
-//   3. exchanges halos, 8 messages (the full D3Q19 dependency set):
-//      * 4 face messages: the 5 populations crossing each x/y face,
-//        minus the diagonal slots whose true source lies in a
-//        corner-adjacent rank;
+//   3. exchanges halos, 8 messages (the full D3Q19 dependency set),
+//      all derived from one table of travel offsets (ox, oy) and tags:
+//      * 4 face messages: the 5 populations crossing each x/y face;
 //      * 4 corner messages: the single population crossing each xy edge
 //        (directions 7, 8, 9, 10), one z-column each.
-//      Receivers skip slots whose sending-side source is a wall — those
-//      were filled locally by bounce-back;
+//      A message carries the populations whose velocity has cx = ox
+//      wherever ox != 0 and cy = oy wherever oy != 0, packed from the
+//      ghost cells on the neighbour's side. The receiver keeps a slot
+//      only when its source, dst - c, lies on the sender's side of the
+//      tile (so a diagonal slot whose source sits in a corner-adjacent
+//      rank comes from that corner's message) and is not a wall (those
+//      were filled locally by bounce-back);
 //   4. applies inlet/outlet conditions to the boundary columns its tile
 //      owns (those of the first/last x-ranks);
 //   5. updates macroscopic fields locally;
@@ -92,8 +96,10 @@ class Distributed2DSolver final : public Solver {
 
   void restore_fluid(const FluidGrid& fluid) override;
 
-  void rank_entry(int rank, Index num_steps, const StepObserver& observer,
-                  Index observer_interval);
+  /// `steps_before` is steps_completed() when the run began (the
+  /// observer's step base).
+  void rank_entry(int rank, Index num_steps, Index steps_before,
+                  const StepObserver& observer, Index observer_interval);
   void run_loop(Index num_steps, const StepObserver& observer,
                 Index observer_interval);
 

@@ -194,14 +194,20 @@ void CubeGrid::initialize(Real rho0, const Vec3& u0) {
 
 void CubeGrid::reset_forces(const Vec3& constant_force) {
   for (Size cube = 0; cube < num_cubes(); ++cube) {
-    Real* fx = slot(cube, kFxSlot);
-    Real* fy = slot(cube, kFySlot);
-    Real* fz = slot(cube, kFzSlot);
-    for (Size local = 0; local < m_; ++local) {
-      fx[local] = constant_force.x;
-      fy[local] = constant_force.y;
-      fz[local] = constant_force.z;
-    }
+    reset_forces(cube, constant_force);
+  }
+}
+
+void CubeGrid::reset_forces(Size cube, const Vec3& constant_force) {
+  LBMIB_RACE_CHECK(race::access(this, cube, RaceField::kForce,
+                                RaceAccess::kWrite, "reset forces");)
+  Real* fx = slot(cube, kFxSlot);
+  Real* fy = slot(cube, kFySlot);
+  Real* fz = slot(cube, kFzSlot);
+  for (Size local = 0; local < m_; ++local) {
+    fx[local] = constant_force.x;
+    fy[local] = constant_force.y;
+    fz[local] = constant_force.z;
   }
 }
 

@@ -199,31 +199,19 @@ class CubeGrid {
   /// (kDfSlot), true after an odd number of swaps.
   bool swap_parity() const { return df_base_ != kDfSlot; }
 
-  /// Slot bases for a captured parity: callers that pipeline several
-  /// steps against one grid (the overlapped dataflow solver) track
-  /// parity per step and cannot read df_slot_base() between swaps.
-  /// These are the only sanctioned way to name a base outside the grid
+  /// Slot base of df for a captured parity (df_new sits at the other
+  /// one). The dataflow task graph runs several steps against one grid
+  /// and tracks parity per step, so it cannot read df_slot_base() between
+  /// swaps; it reconciles the grid once after the graph, with one
+  /// swap_df_buffers() when the graph spanned an odd number of steps.
+  /// This is the only sanctioned way to name a base outside the grid
   /// itself — the raw kDfSlot/kDfNewSlot constants describe the
-  /// construction-time layout and are wrong after an odd number of
-  /// swaps (enforced by the lbmib-df-parity check).
+  /// construction-time layout and are wrong after an odd number of swaps
+  /// (enforced by the lbmib-df-parity check).
   static constexpr Size df_base_for(bool parity) {
     return parity ? kDfNewSlot : kDfSlot;
   }
-  static constexpr Size df_new_base_for(bool parity) {
-    return parity ? kDfSlot : kDfNewSlot;
-  }
 
-  /// Force a specific parity (the overlapped dataflow solver tracks parity
-  /// per step in its task graph and reconciles the grid once at the end).
-  void set_swap_parity(bool parity) {
-    LBMIB_RACE_CHECK(
-        race::access_range(this, 0, num_cubes(), RaceField::kDf,
-                           RaceAccess::kWrite, "set_swap_parity");
-        race::access_range(this, 0, num_cubes(), RaceField::kDfNew,
-                           RaceAccess::kWrite, "set_swap_parity");)
-    df_base_ = parity ? kDfNewSlot : kDfSlot;
-    df_new_base_ = parity ? kDfSlot : kDfNewSlot;
-  }
   Real& rho(Size cube, Size local) { return slot(cube, kRhoSlot)[local]; }
   Real rho(Size cube, Size local) const {
     return slot(cube, kRhoSlot)[local];
@@ -334,6 +322,11 @@ class CubeGrid {
 
   /// Set the force field of every node to `constant_force`.
   void reset_forces(const Vec3& constant_force);
+
+  /// Set the force field of one cube's nodes to `constant_force`: the
+  /// next step's reset, run by the cube's owner (a raw write of the force
+  /// slots, bypassing the hooked add_force accessors).
+  void reset_forces(Size cube, const Vec3& constant_force);
 
   /// Copy all fields from a planar grid (layout conversion).
   void from_planar(const FluidGrid& grid);

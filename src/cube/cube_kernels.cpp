@@ -253,8 +253,8 @@ void cube_collide_stream(CubeGrid& grid, Real tau, Size cube, Size src_base,
   // Shadow fields are roles relative to the grid's current parity, like
   // the implicit kernels use: any parity change emits a write-all on both
   // fields, so role labels stay physically consistent between changes,
-  // and the overlapped solver never changes parity mid-run (DESIGN.md
-  // §12).
+  // and the dataflow task graph never changes parity mid-graph
+  // (DESIGN.md §12).
   LBMIB_INSTRUMENT(
       const RaceField src_field = (src_base == grid.df_slot_base())
                                       ? RaceField::kDf

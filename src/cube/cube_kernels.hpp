@@ -53,10 +53,10 @@ void cube_stream(CubeGrid& grid, Size cube);
 void cube_collide_stream(CubeGrid& grid, Real tau, Size cube,
                          bool simd = true, const MrtOperator* mrt = nullptr);
 
-/// Explicit-parity overload for the overlapped dataflow solver, which
-/// tracks swap parity per *step* in its task graph rather than on the grid:
-/// read df from slot base `src_base`, write df_new at `dst_base` (each
-/// CubeGrid::kDfSlot or kDfNewSlot).
+/// Explicit-parity overload for the dataflow solver, whose task graph
+/// tracks swap parity per *step* rather than on the grid: read df from
+/// slot base `src_base`, write df_new at `dst_base` (each
+/// CubeGrid::df_base_for of a captured parity).
 void cube_collide_stream(CubeGrid& grid, Real tau, Size cube, Size src_base,
                          Size dst_base, bool simd = true,
                          const MrtOperator* mrt = nullptr);

@@ -2,6 +2,9 @@
 // downstream user relies on that no single-subsystem test pins down.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "lbmib.hpp"
 
@@ -123,6 +126,37 @@ TEST(ApiSurface, ObserverReceivesTheRunningSolver) {
       2);
   EXPECT_TRUE(saw_self);
 }
+
+/// Every kind fires the observer when the number of completed steps is a
+/// multiple of the interval, counted from construction, not from the
+/// start of the run.
+class ObserverRule : public ::testing::TestWithParam<SolverKind> {};
+
+TEST_P(ObserverRule, FiresAtMultiplesOfCompletedSteps) {
+  SimulationParams p = presets::tiny();
+  p.num_threads = 2;
+  auto solver = make_solver(GetParam(), p);
+  solver->run(3);
+  std::vector<Index> seen;
+  solver->run(
+      6,
+      [&](Solver& s, Index step) {
+        EXPECT_EQ(s.steps_completed(), step + 1);
+        seen.push_back(step);
+      },
+      2);
+  EXPECT_EQ(seen, (std::vector<Index>{3, 5, 7}));
+  EXPECT_EQ(solver->steps_completed(), 9);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, ObserverRule,
+    ::testing::Values(SolverKind::kSequential, SolverKind::kOpenMP,
+                      SolverKind::kCube, SolverKind::kDataflow,
+                      SolverKind::kDistributed, SolverKind::kDistributed2D),
+    [](const ::testing::TestParamInfo<SolverKind>& info) {
+      return std::string(solver_kind_name(info.param));
+    });
 
 TEST(ApiSurface, StructureAccessorsAreConsistent) {
   SimulationParams p = presets::tiny();

@@ -310,6 +310,25 @@ void expect_zero_fibers_match(Mesh mesh) {
   EXPECT_LT(diff_vs_sequential(p, mesh, 4, 5).max_any(), 1e-12);
 }
 
+/// Tiles one column wide in x: a message's sources lie in the ghost
+/// column on its sender's side, which the cavity's x walls make differ
+/// from the opposite ghost column.
+void expect_one_column_tiles_match(Mesh mesh, int ranks) {
+  SimulationParams p = cavity_params();
+  p.nx = 4;
+  p.ny = 8;
+  p.nz = 8;
+  EXPECT_LT(diff_vs_sequential(p, mesh, ranks, 6).max_any(), 1e-12);
+}
+
+TEST(DistributedSolver, OneColumnSlabsMatchSequential) {
+  expect_one_column_tiles_match(Mesh::kSlabs, 4);
+}
+
+TEST(Distributed2DSolver, OneColumnTilesMatchSequential) {
+  expect_one_column_tiles_match(Mesh::kTiles, 8);  // 4 x 2 tiles
+}
+
 TEST(DistributedSolver, ZeroFiberSimulation) {
   expect_zero_fibers_match(Mesh::kSlabs);
 }

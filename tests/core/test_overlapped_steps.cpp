@@ -1,9 +1,12 @@
 // Time-step overlap (fiber-free dataflow runs): the cross-step task graph
-// must reproduce the barriered execution exactly.
+// must reproduce the barriered execution exactly. Each equivalence also
+// runs CubeSolver on the same input, which the graph must match bit for
+// bit.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
+#include "core/cube_solver.hpp"
 #include "core/dataflow_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
@@ -19,6 +22,14 @@ SimulationParams fluid_only_params() {
   return p;
 }
 
+/// `steps` of CubeSolver on `p`, to hold a dataflow run against.
+StateDiff diff_vs_cube(const SimulationParams& p, Index steps,
+                       const Solver& flow) {
+  CubeSolver cube(p);
+  cube.run(steps);
+  return compare_solvers(cube, flow);
+}
+
 class OverlappedSteps : public ::testing::TestWithParam<int> {};
 
 TEST_P(OverlappedSteps, MatchesSequentialPeriodic) {
@@ -29,6 +40,7 @@ TEST_P(OverlappedSteps, MatchesSequentialPeriodic) {
   DataflowCubeSolver flow(p);
   flow.run(12);  // takes the overlapped path (no fibers, no observer)
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-12);
+  EXPECT_EQ(diff_vs_cube(p, 12, flow).max_any(), 0.0);
   EXPECT_EQ(flow.steps_completed(), 12);
 }
 
@@ -41,6 +53,7 @@ TEST_P(OverlappedSteps, MatchesSequentialChannel) {
   DataflowCubeSolver flow(p);
   flow.run(10);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-12);
+  EXPECT_EQ(diff_vs_cube(p, 10, flow).max_any(), 0.0);
 }
 
 TEST_P(OverlappedSteps, MatchesSequentialInletOutlet) {
@@ -58,6 +71,7 @@ TEST_P(OverlappedSteps, MatchesSequentialInletOutlet) {
   DataflowCubeSolver flow(p);
   flow.run(10);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-12);
+  EXPECT_EQ(diff_vs_cube(p, 10, flow).max_any(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, OverlappedSteps,
@@ -90,6 +104,7 @@ TEST(OverlappedStepsMisc, MixingOverlappedAndStepwiseRuns) {
   flow.step();   // stepwise
   flow.run(6);   // overlapped again
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-12);
+  EXPECT_EQ(diff_vs_cube(p, 14, flow).max_any(), 0.0);
   EXPECT_EQ(flow.steps_completed(), 14);
 }
 
@@ -112,6 +127,7 @@ TEST(OverlappedStepsMisc, MrtOverlappedMatchesSequential) {
   DataflowCubeSolver flow(p);
   flow.run(8);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-12);
+  EXPECT_EQ(diff_vs_cube(p, 8, flow).max_any(), 0.0);
 }
 
 }  // namespace

@@ -176,6 +176,22 @@ TEST_P(DataflowConcurrency, DynamicSchedulingMatchesSequential) {
   EXPECT_LT(compare_solvers(reference(), dataflow).max_any(), 1e-11);
 }
 
+TEST_P(DataflowConcurrency, FiberFreeRunMatchesCube) {
+  // A fiber-free multi-step run with no observer is one task graph over
+  // the whole run: its counters re-arm across steps with no barrier
+  // between them, so only the queue-slot and counter edges order it. An
+  // odd step count ends the fused graph with one buffer swap.
+  SimulationParams p = stress_params();
+  p.num_fibers = 0;
+  p.nodes_per_fiber = 0;
+  p.num_threads = GetParam();
+  CubeSolver cube(p);
+  cube.run(kSteps + 1);
+  DataflowCubeSolver dataflow(p);
+  dataflow.run(kSteps + 1);
+  EXPECT_EQ(compare_solvers(cube, dataflow).max_any(), 0.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, DataflowConcurrency,
                          ::testing::Values(2, 3, 4),
                          [](const auto& info) {
