@@ -303,7 +303,7 @@ DF_SWAP_ALLOWED = re.compile(
 )
 DF_GRID_INTERNAL = re.compile(r"(^|/)src/(cube/cube_grid\.|lbm/fluid_grid\.)")
 DF_SWAP_CALL = re.compile(
-    r"(?:\.|->)\s*(swap_buffers|swap_df_buffers|set_swap_parity)\s*\("
+    r"(?:\.|->)\s*(swap_buffers|swap_df_buffers)\s*\("
 )
 DF_SLOT_CONST = re.compile(r"\bkDf(?:New)?Slot\b")
 DF_RAW_FIELD = re.compile(r"\b(df_new_base_|df_base_|df_new_|df_)(?![\w])")

@@ -50,7 +50,6 @@ enum class Phase : int {
   kCopyDf,
   kCollideStream,      ///< fused kernels 5+6
   kSwapDf,             ///< kernel 9 as an O(1) buffer swap
-  kResetForces,        ///< cube fused pipeline's kernel-9 loop
   kFiberForcesSpread,  ///< distributed kernels 1-4 on the replica
   kFiberForcesFused,   ///< dataflow kernels 1-3 per fiber + owned spread
   kTaskCollideStream,  ///< dataflow COLLIDE+STREAM task
@@ -58,7 +57,7 @@ enum class Phase : int {
   kExchangeHalos,      ///< distributed 8-message halo exchange
 };
 
-inline constexpr int kNumPhases = 17;
+inline constexpr int kNumPhases = 16;
 
 /// Trace category of a phase's span.
 enum class PhaseCat : std::uint8_t { kKernel, kTask, kHalo };
@@ -81,7 +80,6 @@ inline constexpr std::array<PhaseRow, kNumPhases> kPhaseTable = {{
     {"copy_df", Kernel::kCopyDistribution, PhaseCat::kKernel},
     {"collide_stream", Kernel::kCollision, PhaseCat::kKernel},
     {"swap_df", Kernel::kCopyDistribution, PhaseCat::kKernel},
-    {"reset_forces", Kernel::kCopyDistribution, PhaseCat::kKernel},
     {"fiber_forces_spread", Kernel::kSpreadForce, PhaseCat::kKernel},
     {"fiber_forces_fused", Kernel::kSpreadForce, PhaseCat::kKernel},
     {"task.collide_stream", Kernel::kCollision, PhaseCat::kTask},

@@ -30,7 +30,6 @@ CubeSolver::CubeSolver(const SimulationParams& params,
       barrier_(make_barrier(barrier_kind, params.num_threads)),
       bins_(structure_, dist_.owner_table(), params.num_threads,
             params.num_threads),
-      owned_cubes_(static_cast<Size>(params.num_threads)),
       owned_fibers_(static_cast<Size>(params.num_threads)) {
   finish_construction(policy);
 }
@@ -47,19 +46,11 @@ CubeSolver::CubeSolver(const SimulationParams& params,
       barrier_(make_barrier(barrier_kind, params.num_threads)),
       bins_(structure_, dist_.owner_table(), params.num_threads,
             params.num_threads),
-      owned_cubes_(static_cast<Size>(params.num_threads)),
       owned_fibers_(static_cast<Size>(params.num_threads)) {
   finish_construction(policy);
 }
 
 void CubeSolver::finish_construction(DistributionPolicy policy) {
-  // Precompute the cube -> owner table and each thread's cube and fiber
-  // lists. Equivalent to the "if cube2thread(I,J,K) == tid" scan in
-  // Algorithm 4, hoisted out of the time loop.
-  const std::span<const int> cube_owner = bins_.cube_owner();
-  for (Size cube = 0; cube < cube_owner.size(); ++cube) {
-    owned_cubes_[static_cast<Size>(cube_owner[cube])].push_back(cube);
-  }
 #if LBMIB_ACCESS_CHECK_ENABLED
   // Shadow the grid with its cube2thread image so every write hook can
   // verify ownership. Ownership is frozen here: any later drift between
@@ -67,11 +58,15 @@ void CubeSolver::finish_construction(DistributionPolicy policy) {
   // will surface.
   access_checker_ =
       std::make_unique<AccessChecker>(grid_.num_cubes(), params_.num_threads);
+  const std::span<const int> cube_owner = bins_.cube_owner();
   for (Size cube = 0; cube < grid_.num_cubes(); ++cube) {
     access_checker_->set_owner(cube, cube_owner[cube]);
   }
   grid_.attach_access_checker(access_checker_.get());
 #endif
+  // Each thread's fiber list and cube list (bins_.owned_cubes) are
+  // Algorithm 4's "if cube2thread(I,J,K) == tid" scans, hoisted out of
+  // the time loop.
   const Index total_fibers = structure_num_fibers(structure_);
   Index global_fiber = 0;
   for (Size s = 0; s < structure_.size(); ++s) {
@@ -81,7 +76,8 @@ void CubeSolver::finish_construction(DistributionPolicy policy) {
       owned_fibers_[static_cast<Size>(tid)].emplace_back(s, f);
     }
   }
-  // The constant body force must be present before the first collision.
+  // Kernel 4 rewrites the force field every step; until the first step
+  // it holds the body force alone.
   grid_.reset_forces(params_.body_force);
 }
 
@@ -94,7 +90,7 @@ void CubeSolver::thread_entry(int tid, Index num_steps, Index steps_before,
   // barrier's sync point advances it to the phase the barrier opens.
   LBMIB_ACCESS_CHECK(ScopedThreadBind checker_bind(*access_checker_, tid);)
   AccessChecker* const checker = access_checker_.get();
-  const std::vector<Size>& my_cubes = owned_cubes_[static_cast<Size>(tid)];
+  const std::span<const Size> my_cubes = bins_.owned_cubes(tid);
   const std::vector<std::pair<Size, Index>>& my_fibers =
       owned_fibers_[static_cast<Size>(tid)];
 
@@ -139,10 +135,12 @@ void CubeSolver::thread_entry(int tid, Index num_steps, Index steps_before,
     sync_point("cube:barrier:spread", tid, step, *barrier_, checker,
                StepPhase::kCollideStream);
 
-    // --- kernel 4, owner computes: binned fiber nodes, own cubes only ----
+    // --- kernel 4, owner computes: reset own cubes to the body force,
+    // then spread the fiber nodes binned to them ---------------------------
     {
       KernelScope scope(prof, Phase::kSpread);
-      cube_spread_force_owned(structure_, grid_, bins_, tid);
+      cube_spread_force_owned(structure_, grid_, bins_, tid,
+                              params_.body_force);
     }
     // No barrier here: collision reads only its own cube's force, and only
     // this thread wrote it.
@@ -177,7 +175,8 @@ void CubeSolver::thread_entry(int tid, Index num_steps, Index steps_before,
       KernelScope scope(prof, Phase::kUpdateVelocity);
       if (uses_inlet_outlet(params_.boundary)) {
         for (Size cube : my_cubes) {
-          cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
+          cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube,
+                                  grid_.df_new_slot_base());
         }
       }
       for (Size cube : my_cubes) cube_update_velocity(grid_, cube);
@@ -193,25 +192,17 @@ void CubeSolver::thread_entry(int tid, Index num_steps, Index steps_before,
       }
     }
 
-    // --- 5th loop: kernel 9, and reset forces for the next step's
-    // spreading (own cubes only, so no synchronization needed) -------------
-    {
-      // Under the fused pipeline no distributions are copied here — the
-      // loop only resets forces — so its row is reset_forces, not
-      // copy_df, which the roofline would charge the 38-plane copy.
-      KernelScope scope(prof, params_.fused_step ? Phase::kResetForces
-                                                 : Phase::kCopyDf);
-      for (Size cube : my_cubes) {
-        if (!params_.fused_step) cube_copy_distributions(grid_, cube);
-        grid_.reset_forces(cube, params_.body_force);
-      }
-    }
-    if (params_.fused_step && tid == 0) {
+    // --- 5th loop (reference pipeline): kernel 9 ---------------------------
+    if (!params_.fused_step) {
+      // The reference pipeline copies df_new back into df, own cubes only.
+      KernelScope scope(prof, Phase::kCopyDf);
+      for (Size cube : my_cubes) cube_copy_distributions(grid_, cube);
+    } else if (tid == 0) {
       // Kernel 9 as an O(1) parity flip, done once by thread 0. Legal
       // anywhere inside the move+copy phase: after barrier #2 no thread
-      // reads df/df_new again this step (loops 4/5 touch only
-      // velocity/force slots, whose bases never move), and barrier #3
-      // publishes the flip before the next step's reads.
+      // reads df/df_new again this step (loop 4 reads only velocity
+      // slots, whose bases never move), and barrier #3 publishes the flip
+      // before the next step's reads.
       KernelScope scope(prof, Phase::kSwapDf);
       grid_.swap_df_buffers();
     }

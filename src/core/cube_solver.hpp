@@ -70,7 +70,7 @@ class CubeSolver final : public Solver {
     grid_.from_planar(fluid);
   }
 
-  /// Shared tail of both constructors: owner table, owned-cube/fiber
+  /// Shared tail of both constructors: access checker, owned-fiber
   /// lists + forces.
   void finish_construction(DistributionPolicy policy);
 
@@ -88,9 +88,9 @@ class CubeSolver final : public Solver {
   ThreadMesh mesh_;
   CubeDistribution dist_;
   std::unique_ptr<Barrier> barrier_;
-  /// Owner table (cube id -> owning tid) and each step's spread bins.
+  /// Owner table (cube id -> owning tid), each thread's cube list and
+  /// each step's spread bins.
   SpreadBins bins_;
-  std::vector<std::vector<Size>> owned_cubes_;  // cube ids per thread
   /// (sheet index, fiber index) pairs owned per thread; distribution uses
   /// the global fiber numbering across all sheets of the structure.
   std::vector<std::vector<std::pair<Size, Index>>> owned_fibers_;

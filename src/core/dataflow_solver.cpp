@@ -82,6 +82,8 @@ DataflowCubeSolver::DataflowCubeSolver(const SimulationParams& params)
     }
   }
 
+  // Kernel 4 rewrites the force field in every step of a run with
+  // fibers; a fiber-free run has no kernel 4 and keeps the body force.
   grid_.reset_forces(params_.body_force);
   arm_graph(1);
 }
@@ -211,15 +213,16 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
     if (nfibers > 0) {
       // Kernel 4, owner computes: bin this thread's fixed fiber block of
       // every sheet by spread owner; once every elastic force and bin is
-      // published, spread the nodes binned to this thread into the cubes
-      // the spread owner table gives it.
+      // published, reset the cubes the spread owner table gives this
+      // thread to the body force and spread the nodes binned to it.
       {
         KernelScope scope(prof, Phase::kFiberForcesFused);
         spread_bins_.bin(structure_, grid_, tid);
       }
       sync_point("dataflow:barrier:forces", tid, step, barrier_);
       KernelScope scope(prof, Phase::kFiberForcesFused);
-      cube_spread_force_owned(structure_, grid_, spread_bins_, tid);
+      cube_spread_force_owned(structure_, grid_, spread_bins_, tid,
+                              params_.body_force);
     }
     // Spreading complete before collision.
     sync_point("dataflow:barrier:spread", tid, step, barrier_);
@@ -274,8 +277,6 @@ void DataflowCubeSolver::run_tasks(int tid, Index graph_steps) {
   // read before collide(t+1) starts overwriting them. finish_graph
   // reconciles the grid's bases once after the graph.
   const bool p0 = grid_.swap_parity();
-  // A fiber-free force field never leaves the body force.
-  const bool reset_forces = !fiber_list_.empty();
   // Each task bills its own row; the slot-wait spin bills nothing.
   Size slot;
   while ((slot = queue_head_.fetch_add(1, std::memory_order_relaxed)) <
@@ -319,8 +320,6 @@ void DataflowCubeSolver::run_tasks(int tid, Index graph_steps) {
       }
       cube_update_velocity(grid_, cube, dst_base);
       if (!params_.fused_step) cube_copy_distributions(grid_, cube);
-      // Reset forces for the next step's spreading.
-      if (reset_forces) grid_.reset_forces(cube, params_.body_force);
       if (step + 1 < static_cast<Size>(graph_steps)) {
         // collide(step+1, n) may only touch cubes whose step-`step` state
         // is fully retired.

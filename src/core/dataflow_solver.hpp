@@ -11,8 +11,7 @@
 //     dependency counting: a cube's update_fluid_velocity becomes ready
 //     the moment the *last* cube of its 27-cube streaming neighbourhood
 //     has streamed — no thread waits for the whole grid. copy (kernel 9)
-//     and, in runs with fibers, the next step's force reset run
-//     immediately after each cube's update, in the same task.
+//     runs immediately after each cube's update, in the same task.
 //
 // Per time step the task graph holds exactly 2 * num_cubes tasks:
 //   COLLIDE+STREAM(t, c) -> decrements the update counter of every cube
@@ -23,12 +22,12 @@
 // each thread bins a fixed block of every sheet's fibers by the owners of
 // a static spread owner table (CubeSolver's block table for the same
 // thread count), and once a barrier has published every elastic force and
-// bin, spreads the nodes binned to it into its own cubes with
-// cube_spread_force_owned, so no add is atomic. Five barriers per step
-// remain in runs with fibers
-// (forces published, spreading done, tasks done, fibers moved, queue
-// re-armed) and four without, versus CubeSolver's four — and none of
-// them sits between the fluid kernels.
+// bin, resets its own cubes to the body force and spreads the nodes
+// binned to it into them with cube_spread_force_owned, so no add is
+// atomic and no task writes a force. Five barriers per step remain in
+// runs with fibers (forces published, spreading done, tasks done, fibers
+// moved, queue re-armed) and four without, versus CubeSolver's four —
+// and none of them sits between the fluid kernels.
 //
 // TIME-STEP OVERLAP (the paper's other future-work item, "overlapping
 // different time steps"): the task graph spans any number of steps. Its

@@ -297,10 +297,7 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
         compute_stretching_force(sheet, 0, sheet.num_fibers());
         compute_elastic_force(sheet, 0, sheet.num_fibers());
       }
-      grid.reset_forces(params_.body_force);
-      for (const FiberSheet& sheet : r.structure) {
-        spread_force(sheet, grid, r.tile, 0, sheet.num_fibers());
-      }
+      spread_force_owned(r.structure, grid, r.tile, params_.body_force);
     }
     if (params_.fused_step) {
       // Kernels 5+6 as one pass over the real tile: the planar fused

@@ -16,8 +16,9 @@
 // Per time step each rank:
 //   1. computes fiber forces on its *replicated* structure (the
 //      Lagrangian set is tiny compared to the fluid, the standard choice
-//      in distributed IB codes) and spreads them into its own tile only
-//      — spreading needs no communication at all;
+//      in distributed IB codes), resets its own tile's force field to the
+//      body force and spreads them into the tile only — spreading needs
+//      no communication at all;
 //   2. collides and push-streams locally, spilling crossing populations
 //      into the ghost layers;
 //   3. exchanges halos, 8 messages (the full D3Q19 dependency set),
@@ -41,7 +42,7 @@
 //   7. copies (or, fused, swaps) distribution buffers locally.
 //
 // Steps 1, 4 and 6 call the planar kernels every solver shares
-// (spread_force, apply_inlet_outlet, interpolate_velocity) with the
+// (spread_force_owned, apply_inlet_outlet, interpolate_velocity) with the
 // rank's tile as their OwnedBox (lbm/owned_box.hpp).
 //
 // Ranks run as threads here; the communication pattern (8 halo messages
@@ -82,7 +83,7 @@ class Distributed2DSolver final : public Solver {
   int ranks_y() const { return ry_; }
 
   /// Tile [x_lo, x_hi) x [y_lo, y_hi) owned by `rank`: the ghosted box
-  /// its planar kernels (spread_force, interpolate_velocity,
+  /// its planar kernels (spread_force_owned, interpolate_velocity,
   /// apply_inlet_outlet) take.
   using Tile = OwnedBox;
   Tile tile_of(int rank) const;

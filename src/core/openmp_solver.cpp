@@ -16,7 +16,10 @@
 namespace lbmib {
 
 OpenMPSolver::OpenMPSolver(const SimulationParams& params)
-    : Solver(params), grid_(params) {}
+    : Solver(params), grid_(params) {
+  // Until the first step's kernel 4, the body force alone.
+  grid_.reset_forces(params.body_force);
+}
 
 namespace {
 
@@ -124,23 +127,10 @@ void OpenMPSolver::step() {
     }
     team_barrier();
     {
-      // Reset this thread's slab of the force field (part of kernel 4's
-      // cost, like the sequential program), then spread every fiber into
-      // this slab only (owner computes). No other thread writes the slab,
-      // so no barrier separates the two.
+      // Kernel 4, owner computes: reset this thread's slab to the body
+      // force and spread every fiber into the slab only.
       KernelScope scope(prof, Phase::kSpread);
-      for (Size node = node_begin; node < node_end; ++node) {
-        grid_.fx(node) = params_.body_force.x;
-        grid_.fy(node) = params_.body_force.y;
-        grid_.fz(node) = params_.body_force.z;
-      }
-      LBMIB_RACE_CHECK(race::access_range(
-          &grid_, static_cast<Size>(slabs.begin),
-          static_cast<Size>(slabs.end), RaceField::kForce,
-          RaceAccess::kWrite, "reset forces");)
-      for (const FiberSheet& sheet : structure_) {
-        spread_force(sheet, grid_, box, 0, sheet.num_fibers());
-      }
+      spread_force_owned(structure_, grid_, box, params_.body_force);
     }
     team_barrier();
 

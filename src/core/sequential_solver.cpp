@@ -16,6 +16,9 @@ namespace lbmib {
 SequentialSolver::SequentialSolver(const SimulationParams& params)
     : Solver(params), grid_(params) {
   thread_profiles_.resize(1);  // one stepping thread, whatever num_threads
+  // Kernel 4 rewrites the force field every step; until the first step
+  // it holds the body force alone, as in every kind.
+  grid_.reset_forces(params.body_force);
 }
 
 void SequentialSolver::step() {
@@ -50,10 +53,8 @@ void SequentialSolver::step() {
   }
   {
     KernelScope scope(prof, Phase::kSpread);
-    grid_.reset_forces(params_.body_force);
-    for (const FiberSheet& sheet : structure_) {
-      spread_force(sheet, grid_, 0, sheet.num_fibers());
-    }
+    spread_force_owned(structure_, grid_, OwnedBox::whole(grid_),
+                       params_.body_force);
   }
 
   // --- LBM related ---

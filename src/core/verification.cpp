@@ -13,13 +13,14 @@ namespace lbmib {
 
 Real StateDiff::max_any() const {
   return std::max({max_df, max_velocity, max_density, max_position,
-                   max_force});
+                   max_force, max_fluid_force});
 }
 
 std::string StateDiff::to_string() const {
   std::ostringstream os;
   os << "df=" << max_df << " u=" << max_velocity << " rho=" << max_density
-     << " X=" << max_position << " F=" << max_force;
+     << " X=" << max_position << " F=" << max_force
+     << " f=" << max_fluid_force;
   return os.str();
 }
 
@@ -38,6 +39,10 @@ StateDiff compare_fluid(const FluidGrid& a, const FluidGrid& b) {
         std::max({d.max_velocity, std::abs(a.ux(node) - b.ux(node)),
                   std::abs(a.uy(node) - b.uy(node)),
                   std::abs(a.uz(node) - b.uz(node))});
+    d.max_fluid_force =
+        std::max({d.max_fluid_force, std::abs(a.fx(node) - b.fx(node)),
+                  std::abs(a.fy(node) - b.fy(node)),
+                  std::abs(a.fz(node) - b.fz(node))});
   }
   return d;
 }

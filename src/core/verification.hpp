@@ -24,6 +24,7 @@ struct StateDiff {
   Real max_density = 0.0;   ///< macroscopic density
   Real max_position = 0.0;  ///< fiber node position components
   Real max_force = 0.0;     ///< fiber elastic force components
+  Real max_fluid_force = 0.0;  ///< fluid force field components
 
   /// Largest of all the component maxima.
   Real max_any() const;
@@ -34,7 +35,8 @@ struct StateDiff {
   std::string to_string() const;
 };
 
-/// Compare full planar fluid states.
+/// Compare full planar fluid states: distributions, moments and the
+/// force field.
 StateDiff compare_fluid(const FluidGrid& a, const FluidGrid& b);
 
 /// Compare fiber sheets (positions and elastic forces).

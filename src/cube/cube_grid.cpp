@@ -199,6 +199,8 @@ void CubeGrid::reset_forces(const Vec3& constant_force) {
 }
 
 void CubeGrid::reset_forces(Size cube, const Vec3& constant_force) {
+  LBMIB_ACCESS_CHECK(
+      if (checker_ != nullptr) checker_->check_unlocked_write(cube);)
   LBMIB_RACE_CHECK(race::access(this, cube, RaceField::kForce,
                                 RaceAccess::kWrite, "reset forces");)
   Real* fx = slot(cube, kFxSlot);

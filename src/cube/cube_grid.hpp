@@ -323,9 +323,9 @@ class CubeGrid {
   /// Set the force field of every node to `constant_force`.
   void reset_forces(const Vec3& constant_force);
 
-  /// Set the force field of one cube's nodes to `constant_force`: the
-  /// next step's reset, run by the cube's owner (a raw write of the force
-  /// slots, bypassing the hooked add_force accessors).
+  /// Set the force field of one cube's nodes to `constant_force`: kernel
+  /// 4's reset, run by the cube's owner just before it spreads, and
+  /// checked as an owner write like add_force_run.
   void reset_forces(Size cube, const Vec3& constant_force);
 
   /// Copy all fields from a planar grid (layout conversion).

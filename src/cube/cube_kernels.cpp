@@ -358,12 +358,6 @@ void cube_streamed_moments(const CubeGrid& grid, Size cube, Size local,
 }  // namespace
 
 void cube_apply_inlet_outlet(CubeGrid& grid, const Vec3& inlet_velocity,
-                             Size cube) {
-  cube_apply_inlet_outlet(grid, inlet_velocity, cube,
-                          grid.df_new_slot_base());
-}
-
-void cube_apply_inlet_outlet(CubeGrid& grid, const Vec3& inlet_velocity,
                              Size cube, Size df_new_base) {
   const Index k = grid.cube_size();
   const Index ncy = grid.cubes_y(), ncz = grid.cubes_z();
@@ -567,7 +561,11 @@ void cube_spread_force_unlocked(const FiberSheet& sheet, CubeGrid& grid,
 }
 
 void cube_spread_force_owned(const Structure& structure, CubeGrid& grid,
-                             const SpreadBins& bins, int owner) {
+                             const SpreadBins& bins, int owner,
+                             const Vec3& body_force) {
+  for (const Size cube : bins.owned_cubes(owner)) {
+    grid.reset_forces(cube, body_force);
+  }
   const std::span<const int> cube_owner = bins.cube_owner();
   for (Size s = 0; s < structure.size(); ++s) {
     const FiberSheet& sheet = structure[s];

@@ -8,12 +8,13 @@
 // three flavours that differ only in who may write a cube: the paper's
 // owner-locked spread, where any thread adds into any cube under the
 // owner thread's lock; a single-writer spread; and the owner-computes
-// spread the cube and dataflow solvers run, where each owner walks only
-// the fiber nodes binned to it (cube/spread_bins.hpp) and adds only into
-// its own cubes, so no thread writes a foreign cube, no lock is taken and
-// no add is atomic. All three and kernel 8 share one support walk, which
-// resolves cube coordinates without dividing and adds each support
-// column's z-targets as one run per cube (CubeGrid::add_force_run).
+// spread the cube and dataflow solvers run, where each owner resets its
+// own cubes to the body force, walks only the fiber nodes binned to it
+// (cube/spread_bins.hpp) and adds only into those cubes, so no thread
+// writes a foreign cube, no lock is taken and no add is atomic. All
+// three and kernel 8 share one support walk, which resolves cube
+// coordinates without dividing and adds each support column's z-targets
+// as one run per cube (CubeGrid::add_force_run).
 #pragma once
 
 #include <span>
@@ -68,17 +69,15 @@ void cube_update_velocity(CubeGrid& grid, Size cube);
 /// Explicit-parity overload: read the streamed field from `df_new_base`.
 void cube_update_velocity(CubeGrid& grid, Size cube, Size df_new_base);
 
-/// Inlet/outlet pass (BoundaryType::kInletOutlet) for one cube: if the
-/// cube touches x = 0, overwrite those nodes' df_new with the equilibrium
-/// of `inlet_velocity`; if it touches x = nx-1, copy the upstream
-/// column's df_new (zero-gradient outflow). No-op for interior cubes.
-/// Must run after all streaming completes and before
+/// Inlet/outlet pass (BoundaryType::kInletOutlet) for one cube, on the
+/// streamed field at slot base `df_new_base` (the grid's
+/// df_new_slot_base(), or CubeGrid::df_base_for of a captured parity):
+/// if the cube touches x = 0, overwrite those nodes' streamed
+/// distributions with the equilibrium of `inlet_velocity`; if it touches
+/// x = nx-1, copy the upstream column's (zero-gradient outflow). No-op
+/// for interior cubes. Must run after all streaming completes and before
 /// cube_update_velocity (the solvers call it at the start of their
 /// update phase).
-void cube_apply_inlet_outlet(CubeGrid& grid, const Vec3& inlet_velocity,
-                             Size cube);
-
-/// Explicit-parity overload: rewrite the streamed field at `df_new_base`.
 void cube_apply_inlet_outlet(CubeGrid& grid, const Vec3& inlet_velocity,
                              Size cube, Size df_new_base);
 
@@ -99,16 +98,19 @@ void cube_spread_force(const FiberSheet& sheet, CubeGrid& grid,
 void cube_spread_force_unlocked(const FiberSheet& sheet, CubeGrid& grid,
                                 Index fiber_begin, Index fiber_end);
 
-/// Owner-computes variant: spread the fiber nodes `bins` holds for
-/// `owner`, adding only the contributions that land in cubes with
-/// `bins.cube_owner()[cube] == owner`. Once every fiber force and bin is
-/// published, every owner may run this at the same time without locks:
-/// each cube has one writer, and each fluid node sums its contributions
-/// in the same order as cube_spread_force_unlocked over every fiber of
-/// every sheet, so the result is bit-identical to it whatever the thread
-/// count or ownership.
+/// Owner-computes variant, and kernel 4 of the cube solvers: set the
+/// force of every cube `owner` owns (bins.owned_cubes(owner)) to
+/// `body_force`, then spread the fiber nodes `bins` holds for `owner`,
+/// adding only the contributions that land in those cubes. Once every
+/// fiber force and bin is published, every owner may run this at the
+/// same time without locks: each cube has one writer, and each fluid
+/// node sums its contributions in the same order as
+/// cube_spread_force_unlocked over every fiber of every sheet, so the
+/// result is bit-identical to a body-force reset plus that spread
+/// whatever the thread count or ownership.
 void cube_spread_force_owned(const Structure& structure, CubeGrid& grid,
-                             const SpreadBins& bins, int owner);
+                             const SpreadBins& bins, int owner,
+                             const Vec3& body_force);
 
 /// Kernel 8 for fibers [fiber_begin, fiber_end): interpolate velocity from
 /// the cube grid and advance fiber positions (dt = 1).

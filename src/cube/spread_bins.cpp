@@ -18,8 +18,11 @@ SpreadBins::SpreadBins(const Structure& structure,
       num_sheets_(structure.size()) {
   require(owners >= 1 && threads >= 1,
           "spread bins need at least one owner and one thread");
-  for (int o : cube_owner_) {
+  owned_cubes_.resize(static_cast<Size>(owners));
+  for (Size cube = 0; cube < cube_owner_.size(); ++cube) {
+    const int o = cube_owner_[cube];
     require(o >= 0 && o < owners, "cube owner out of range");
+    owned_cubes_[static_cast<Size>(o)].push_back(cube);
   }
   blocks_.resize(static_cast<Size>(threads) * num_sheets_);
   Size total = 0;

@@ -14,7 +14,8 @@
 // spreading from, with the sum order kept.
 //
 // Every bin is sized at construction for the worst case (all of its
-// block's nodes), so binning never allocates.
+// block's nodes), so binning never allocates. The owner table also gives
+// each owner its cube list: the cubes it resets, spreads into and sweeps.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +41,11 @@ class SpreadBins {
 
   int threads() const { return threads_; }
   std::span<const int> cube_owner() const { return cube_owner_; }
+
+  /// The cubes `owner` owns, ascending.
+  std::span<const Size> owned_cubes(int owner) const {
+    return owned_cubes_[static_cast<Size>(owner)];
+  }
 
   /// Fibers [first, second) of a sheet of `num_fibers` fibers that
   /// binning thread `t` of `threads` bins.
@@ -69,6 +75,7 @@ class SpreadBins {
   }
 
   std::vector<int> cube_owner_;
+  std::vector<std::vector<Size>> owned_cubes_;  // per owner, ascending
   int owners_;
   int threads_;
   Size num_sheets_;

@@ -1,5 +1,6 @@
 #include "ib/spreading.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "ib/delta.hpp"
@@ -61,6 +62,26 @@ void spread_force(const FiberSheet& sheet, FluidGrid& grid,
 void spread_force(const FiberSheet& sheet, FluidGrid& grid,
                   Index fiber_begin, Index fiber_end) {
   spread_force(sheet, grid, OwnedBox::whole(grid), fiber_begin, fiber_end);
+}
+
+void spread_force_owned(const Structure& structure, FluidGrid& grid,
+                        const OwnedBox& box, const Vec3& body_force) {
+  LBMIB_INSTRUMENT(
+      inst::planes(grid, static_cast<Size>(box.x_lo + box.dx),
+                   static_cast<Size>(box.x_hi + box.dx), RaceField::kForce,
+                   RaceAccess::kWrite, "spread_force_owned: reset");)
+  // Each owned x-row's columns are one contiguous run of nodes.
+  const Size run =
+      static_cast<Size>(box.y_hi - box.y_lo) * static_cast<Size>(grid.nz());
+  for (Index gx = box.x_lo; gx < box.x_hi; ++gx) {
+    const Size begin = grid.index(gx + box.dx, box.y_lo + box.dy, 0);
+    std::fill_n(grid.fx_data() + begin, run, body_force.x);
+    std::fill_n(grid.fy_data() + begin, run, body_force.y);
+    std::fill_n(grid.fz_data() + begin, run, body_force.z);
+  }
+  for (const FiberSheet& sheet : structure) {
+    spread_force(sheet, grid, box, 0, sheet.num_fibers());
+  }
 }
 
 }  // namespace lbmib

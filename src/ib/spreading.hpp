@@ -9,19 +9,20 @@
 // Spreading is owner-computes: a writer adds only what lands in the
 // columns of its OwnedBox (lbm/owned_box.hpp), walking every fiber in
 // the same order, so each fluid node sums its contributions in the
-// sequential order whichever box owns it and no add is atomic. The
-// cube-layout flavours live in cube/cube_kernels.hpp: Algorithm 4's
-// per-owner-locked spread, and the owner-computes spread over a cube
-// owner table.
+// sequential order whichever box owns it and no add is atomic. Kernel 4
+// owns the force field: each writer first sets its box to the body force
+// and then spreads into it (spread_force_owned), so between steps the
+// field holds the step's total force. The cube-layout flavours live in
+// cube/cube_kernels.hpp: Algorithm 4's per-owner-locked spread, and the
+// owner-computes spread over a cube owner table.
 #pragma once
 
 #include "common/types.hpp"
 #include "common/vec3.hpp"
+#include "ib/fiber_sheet.hpp"
 #include "lbm/owned_box.hpp"
 
 namespace lbmib {
-
-class FiberSheet;
 
 /// Influential domain of a point: the 4 lattice indices per axis that the
 /// 4-point kernel reaches, with the per-axis weights.
@@ -88,5 +89,14 @@ void spread_force(const FiberSheet& sheet, FluidGrid& grid,
 /// Whole-grid form: the box is every column of `grid` (single writer).
 void spread_force(const FiberSheet& sheet, FluidGrid& grid,
                   Index fiber_begin, Index fiber_end);
+
+/// Kernel 4 of one planar writer: set the force of every node `box` owns
+/// to `body_force`, then spread every fiber of every sheet of `structure`
+/// into the box. The sequential solver's box is the whole grid, an
+/// OpenMP thread's its x-slab, a distributed rank's its tile. Writers
+/// with disjoint boxes may run at once once every fiber force is
+/// published; nothing outside the box is touched.
+void spread_force_owned(const Structure& structure, FluidGrid& grid,
+                        const OwnedBox& box, const Vec3& body_force);
 
 }  // namespace lbmib

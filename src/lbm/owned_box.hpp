@@ -2,8 +2,9 @@
 // the cube layout's owner table: a range of global (x, y) columns, every
 // z. The sequential solver owns the whole grid, an OpenMP thread its
 // x-slab, a distributed rank its tile (stored in a private grid with one
-// ghost layer per side). spread_force, interpolate_velocity and
-// apply_inlet_outlet take a box and touch only the nodes it owns.
+// ghost layer per side). spread_force, spread_force_owned,
+// interpolate_velocity and apply_inlet_outlet take a box and touch only
+// the nodes it owns.
 #pragma once
 
 #include "common/types.hpp"

@@ -40,12 +40,15 @@ namespace lbmib {
 /// from kMoveCopy back to kSpread at the end-of-step barrier.
 enum class StepPhase : int {
   /// Fiber forces, plus Algorithm 4's locked spread (the only phase its
-  /// cross-thread writes are legal in). CubeSolver runs kernels 1-3 here
-  /// and spreads owner-computes at the start of kCollideStream.
+  /// cross-thread writes are legal in). CubeSolver runs kernels 1-3 and
+  /// the spread binning here; kernel 4's owner-computes force reset and
+  /// spread open kCollideStream.
   kSpread = 0,
-  kCollideStream = 1, ///< (owned spread +) collision + streaming, own cubes
+  /// Kernel 4's reset and spread of the owned cubes, then collision +
+  /// streaming of the same cubes.
+  kCollideStream = 1,
   kUpdate = 2,        ///< inlet/outlet + macroscopic update on owned cubes
-  kMoveCopy = 3,      ///< fiber motion (foreign reads) + df copy/force reset
+  kMoveCopy = 3,      ///< fiber motion (foreign reads) + df copy or swap
 };
 constexpr int kNumStepPhases = 4;
 

@@ -134,8 +134,6 @@ TEST(PhaseTable, NamesAreUniqueAndRowsBillTheirKernels) {
   for (const PhaseRow& row : kPhaseTable) {
     EXPECT_TRUE(names.insert(row.name).second) << row.name;
   }
-  EXPECT_EQ(phase_row(Phase::kResetForces).bills,
-            Kernel::kCopyDistribution);
   EXPECT_EQ(phase_row(Phase::kSwapDf).bills, Kernel::kCopyDistribution);
   EXPECT_EQ(phase_row(Phase::kTaskUpdateCopy).bills, Kernel::kCollision);
   EXPECT_EQ(phase_row(Phase::kExchangeHalos).bills, Kernel::kStreaming);

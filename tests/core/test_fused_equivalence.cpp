@@ -44,13 +44,10 @@ SimulationParams base_params() {
   SimulationParams p = presets::tiny();
   p.body_force = {1e-5, 0.0, 0.0};
   p.boundary = BoundaryType::kPeriodic;
-  // Single worker: the OpenMP and dataflow solvers spread fiber forces
-  // with atomic adds in a thread-dependent order, so bit-exact
-  // cross-pipeline comparison needs a deterministic schedule. (The cube
-  // solver's owner-computes spread is order-stable at any thread count;
-  // test_solver_concurrency.cpp checks that exactly.) Multi-thread
-  // coverage (fiber-free, still bit-exact) is below; tolerance-based
-  // multi-thread coverage lives in test_randomized_equivalence.cpp.
+  // One worker here; every kind spreads owner-computes in one fixed sum
+  // order at any thread count, so the four-worker test below is bit-exact
+  // as well, and test_randomized_equivalence.cpp covers more thread
+  // counts.
   p.num_threads = 1;
   return p;
 }
@@ -126,20 +123,19 @@ TEST_P(FusedEquivalence, BitIdenticalWithoutFibers) {
 }
 
 TEST_P(FusedEquivalence, BitIdenticalWithFourWorkers) {
-  // Fiber-free so the only parallel hazard left is the streaming/swap
-  // protocol itself: any cross-worker race on df_new or a mistimed swap
-  // shows up as a state difference. Four workers put the distributed
-  // tile solver on a 2x2 mesh, so every tile row sweeps next to walls,
-  // the lid, the obstacle and the inlet/outlet planes, under both
-  // collision operators.
+  // Any cross-worker race on df_new or the force field, or a mistimed
+  // swap, shows up as a state difference. Four workers put the
+  // distributed tile solver on a 2x2 mesh, so every tile row sweeps next
+  // to walls, the lid, the obstacle and the inlet/outlet planes, under
+  // both collision operators. The sheet's leading edge is pinned, so it
+  // stays in the box on every boundary while four owners spread into it.
   for (CollisionModel collision :
        {CollisionModel::kBGK, CollisionModel::kMRT}) {
     for (BoundaryType boundary :
          {BoundaryType::kPeriodic, BoundaryType::kChannel,
           BoundaryType::kCavity, BoundaryType::kInletOutlet}) {
       SimulationParams p = base_params();
-      p.num_fibers = 0;
-      p.nodes_per_fiber = 0;
+      p.pin_mode = PinMode::kLeadingEdge;
       p.num_threads = 4;
       p.collision = collision;
       p.boundary = boundary;

@@ -109,8 +109,8 @@ std::vector<Golden> golden_table() {
   const std::set<std::string> cube_fused = {
       "kernel:bending",         "kernel:stretching",  "kernel:elastic",
       "kernel:spread",          "kernel:collide_stream",
-      "kernel:update_velocity", "kernel:move_fibers", "kernel:reset_forces",
-      "kernel:swap_df",         "barrier:barrier.wait", "step:step"};
+      "kernel:update_velocity", "kernel:move_fibers", "kernel:swap_df",
+      "barrier:barrier.wait",   "step:step"};
   const std::set<std::string> cube_reference = {
       "kernel:bending",         "kernel:stretching",  "kernel:elastic",
       "kernel:spread",          "kernel:collide_stream",

@@ -4,6 +4,7 @@
 
 #include <fstream>
 #include <string>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "core/fault_injection.hpp"
@@ -120,16 +121,10 @@ TEST_P(RestoreStateTest, SnapshotRestoreResumesEquivalently) {
   EXPECT_EQ(resumed->steps_completed(), 5);
   resumed->run(5);
 
-  // Solvers whose cross-thread force adds have scheduling-dependent
-  // order (openmp atomics, cube owner locks, dataflow tasks) are only
-  // reproducible run-to-run up to reduction round-off; the single-order
-  // solvers (sequential, distributed's deterministic reduce) replay
-  // bit-exactly.
-  const bool nondeterministic_order = GetParam() == SolverKind::kOpenMP ||
-                                      GetParam() == SolverKind::kCube ||
-                                      GetParam() == SolverKind::kDataflow;
-  const Real tol = nondeterministic_order ? 1e-9 : 0.0;
-  EXPECT_LE(compare_solvers(*straight, *resumed).max_any(), tol);
+  // Every kind spreads owner-computes, each node summing its fiber
+  // contributions in one fixed order, and its force field between steps
+  // is the step's total force, so a resumed run replays bit-exactly.
+  EXPECT_EQ(compare_solvers(*straight, *resumed).max_any(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -139,6 +134,98 @@ INSTANTIATE_TEST_SUITE_P(
                       SolverKind::kDistributed, SolverKind::kDistributed2D),
     [](const ::testing::TestParamInfo<SolverKind>& info) {
       return std::string(solver_kind_name(info.param));
+    });
+
+/// Kinds that step bit-identically on the same input: the planar
+/// shared-memory pair, the cube-layout pair, and the two rank meshes
+/// (both 2 x 1 at the two ranks CrossKindRestore runs).
+int exact_class(SolverKind kind) {
+  switch (kind) {
+    case SolverKind::kSequential:
+    case SolverKind::kOpenMP:
+      return 0;
+    case SolverKind::kCube:
+    case SolverKind::kDataflow:
+      return 1;
+    default:
+      return 2;
+  }
+}
+
+// A state restored across kinds must resume as the target kind's own run
+// does. `from` runs 20 steps; a fresh `to` restores its snapshot and
+// structure and runs 5 more, against 25 straight steps of `to`. The
+// snapshot's force field is the 20th step's total force in every kind,
+// and the next step's kernel 4 replaces it, so nothing is added twice.
+class CrossKindRestore
+    : public ::testing::TestWithParam<std::tuple<SolverKind, SolverKind>> {};
+
+TEST_P(CrossKindRestore, ResumesAsTheTargetKind) {
+  const auto [from, to] = GetParam();
+  SimulationParams p = presets::tiny();
+  p.num_threads = 2;
+  p.boundary = BoundaryType::kChannel;
+  p.body_force = {1e-5, 0.0, 0.0};
+  p.initial_velocity = {0.05, 0.01, 0.0};
+  p.pin_mode = PinMode::kLeadingEdge;
+
+  auto source = make_solver(from, p);
+  source->run(20);
+  FluidGrid snapshot(p.nx, p.ny, p.nz);
+  source->snapshot_fluid(snapshot);
+  auto resumed = make_solver(to, p);
+  resumed->restore_state(snapshot, source->structure(),
+                         source->steps_completed());
+  resumed->run(5);
+
+  auto straight = make_solver(to, p);
+  straight->run(25);
+  const StateDiff d = compare_solvers(*straight, *resumed);
+  SCOPED_TRACE(d.to_string());
+  // Kinds of one exact class step bit-identically; across classes the
+  // vectorized sweeps differ by rounding only.
+  if (exact_class(from) == exact_class(to)) {
+    EXPECT_EQ(d.max_any(), 0.0);
+  } else {
+    EXPECT_LE(d.max_any(), 1e-12);
+  }
+}
+
+// A fiber-free dataflow run has no kernel 4, so it steps with the force
+// field it holds. Every kind starts from the body force, so a snapshot
+// taken before the first step restores into it as into its own kind.
+TEST(CrossKindRestoreFiberFree, FreshSequentialSnapshotKeepsTheBodyForce) {
+  SimulationParams p = presets::tiny();
+  p.num_threads = 2;
+  p.boundary = BoundaryType::kChannel;
+  p.body_force = {1e-5, 0.0, 0.0};
+  p.num_fibers = 0;
+  p.nodes_per_fiber = 0;
+  auto source = make_solver(SolverKind::kSequential, p);
+  FluidGrid snapshot(p.nx, p.ny, p.nz);
+  source->snapshot_fluid(snapshot);
+  auto resumed = make_solver(SolverKind::kDataflow, p);
+  resumed->restore_state(snapshot, source->structure(), 0);
+  resumed->run(5);
+
+  auto straight = make_solver(SolverKind::kDataflow, p);
+  straight->run(5);
+  EXPECT_EQ(compare_solvers(*straight, *resumed).max_any(), 0.0);
+}
+
+constexpr SolverKind kKinds[] = {
+    SolverKind::kSequential,  SolverKind::kOpenMP,
+    SolverKind::kCube,        SolverKind::kDataflow,
+    SolverKind::kDistributed, SolverKind::kDistributed2D};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPairs, CrossKindRestore,
+    ::testing::Combine(::testing::ValuesIn(kKinds),
+                       ::testing::ValuesIn(kKinds)),
+    [](const ::testing::TestParamInfo<CrossKindRestore::ParamType>& info) {
+      return std::string(solver_kind_name(std::get<0>(info.param))) +
+             "_to_" +
+             std::string(solver_kind_name(std::get<1>(info.param)));
     });
 
 }  // namespace

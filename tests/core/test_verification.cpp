@@ -51,6 +51,17 @@ TEST(CompareFluid, DetectsVelocityAndDensityDifference) {
   EXPECT_DOUBLE_EQ(d.max_density, 0.5);
 }
 
+TEST(CompareFluid, DetectsForceFieldDifference) {
+  FluidGrid a(4, 4, 4);
+  FluidGrid b(4, 4, 4);
+  b.fz(11) = -0.375;
+  const StateDiff d = compare_fluid(a, b);
+  EXPECT_DOUBLE_EQ(d.max_fluid_force, 0.375);
+  EXPECT_DOUBLE_EQ(d.max_any(), 0.375);
+  EXPECT_EQ(d.max_df, 0.0);
+  EXPECT_NE(d.to_string().find("f=0.375"), std::string::npos);
+}
+
 TEST(CompareFluid, RejectsDimensionMismatch) {
   FluidGrid a(4, 4, 4);
   FluidGrid b(4, 4, 8);

@@ -139,10 +139,12 @@ void expect_same_force_bits(const CubeGrid& got, const CubeGrid& want) {
 }
 
 /// Owner-computes spread through the bins, once per owner into one grid,
-/// against the single-writer spread: bit-identical for every mesh, policy
-/// and cube size (cube_size 1 puts 4 distinct cubes on each axis of a
-/// node's support, 2 up to 3). The 24 x 16 x 8 grid at cube size 8 has
-/// one cube along z, which a support that wraps z reaches from both ends.
+/// against a body-force reset plus the single-writer spread: bit-identical
+/// for every mesh, policy and cube size (cube_size 1 puts 4 distinct cubes
+/// on each axis of a node's support, 2 up to 3). The 24 x 16 x 8 grid at
+/// cube size 8 has one cube along z, which a support that wraps z reaches
+/// from both ends. The owners' grid starts from a stale force field, which
+/// their resets must overwrite in every cube.
 void expect_owned_matches_unlocked(const Structure& structure) {
   struct Shape {
     Index nx, ny, nz, k;
@@ -150,9 +152,10 @@ void expect_owned_matches_unlocked(const Structure& structure) {
   const Shape shapes[] = {{24, 24, 24, 1}, {24, 24, 24, 2},
                           {24, 24, 24, 3}, {24, 24, 24, 4},
                           {24, 24, 24, 8}, {24, 16, 8, 8}};
+  const Vec3 body_force{1e-5, -2e-6, 3e-6};
   for (const Shape& shape : shapes) {
     CubeGrid want(shape.nx, shape.ny, shape.nz, shape.k);
-    want.reset_forces({});
+    want.reset_forces(body_force);
     for (const FiberSheet& sheet : structure) {
       cube_spread_force_unlocked(sheet, want, 0, sheet.num_fibers());
     }
@@ -167,14 +170,14 @@ void expect_owned_matches_unlocked(const Structure& structure) {
                      (policy == DistributionPolicy::kBlock ? "block"
                                                            : "cyclic"));
         CubeGrid got(shape.nx, shape.ny, shape.nz, shape.k);
-        got.reset_forces({});
+        got.reset_forces({7.0, -7.0, 7.0});
         const CubeDistribution dist(got.cubes_x(), got.cubes_y(),
                                     got.cubes_z(), balanced_mesh(owners),
                                     policy);
         SpreadBins bins(structure, dist.owner_table(), owners, owners);
         for (int t = 0; t < owners; ++t) bins.bin(structure, got, t);
         for (int owner = 0; owner < owners; ++owner) {
-          cube_spread_force_owned(structure, got, bins, owner);
+          cube_spread_force_owned(structure, got, bins, owner, body_force);
         }
         expect_same_force_bits(got, want);
       }
@@ -295,6 +298,30 @@ TEST(CubeSpread, BinsHoldExactlyTheOwnersEachSupportReaches) {
   Size high = 0;
   for (int o = 64; o < kOwners; ++o) high += bins.bin_size(o);
   EXPECT_GT(high, 0u);
+}
+
+TEST(CubeSpread, OwnedCubesListEachCubeOnceUnderItsOwner) {
+  // The owner's cube list is what its kernel-4 reset and its fluid loops
+  // sweep: every cube exactly once, in ascending id order.
+  constexpr int kOwners = 5;
+  std::vector<int> owner(60);
+  for (Size c = 0; c < owner.size(); ++c) {
+    owner[c] = static_cast<int>((c * 13) % kOwners);
+  }
+  owner[7] = 4;  // owners need not own equally many cubes
+  const SpreadBins bins({perturbed_sheet(6)}, owner, kOwners, 2);
+  Size listed = 0;
+  for (int o = 0; o < kOwners; ++o) {
+    std::vector<Size> want;
+    for (Size c = 0; c < owner.size(); ++c) {
+      if (owner[c] == o) want.push_back(c);
+    }
+    const std::span<const Size> got = bins.owned_cubes(o);
+    EXPECT_EQ(std::vector<Size>(got.begin(), got.end()), want)
+        << "owner " << o;
+    listed += got.size();
+  }
+  EXPECT_EQ(listed, owner.size());
 }
 
 /// The benchmark's ib_dense_cube input with both sheet offsets fixed at

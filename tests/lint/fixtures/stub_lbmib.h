@@ -164,11 +164,9 @@ struct CubeGrid {
   static constexpr unsigned kDfSlot = 0;
   static constexpr unsigned kDfNewSlot = 19;
   void swap_df_buffers();
-  void set_swap_parity(bool parity);
   unsigned df_slot_base() const;
   unsigned df_new_slot_base() const;
   static unsigned df_base_for(bool parity);
-  static unsigned df_new_base_for(bool parity);
   double* data();
   double* df_;
   double* df_new_;

@@ -28,8 +28,7 @@ void DfParityCheck::storeOptions(ClangTidyOptions::OptionMap &Opts) {
 void DfParityCheck::registerMatchers(ast_matchers::MatchFinder *Finder) {
   Finder->addMatcher(
       cxxMemberCallExpr(callee(cxxMethodDecl(hasAnyName(
-                            "swap_buffers", "swap_df_buffers",
-                            "set_swap_parity"))
+                            "swap_buffers", "swap_df_buffers"))
                                    .bind("swapfn")),
                         unless(isExpansionInSystemHeader()))
           .bind("swap"),

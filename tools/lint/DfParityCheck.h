@@ -2,9 +2,9 @@
 // fused pipeline retargets df/df_new instead of copying 19 planes, so
 // *which* storage "df" means flips every step. Three things therefore
 // belong only to specific TUs:
-//   * swap_buffers / swap_df_buffers / set_swap_parity — the parity
-//     pivots; only the solver step loops may call them (a swap anywhere
-//     else silently shears the fields mid-step),
+//   * swap_buffers / swap_df_buffers — the parity pivots; only the
+//     solver step loops may call them (a swap anywhere else silently
+//     shears the fields mid-step),
 //   * the raw slot constants kDfSlot / kDfNewSlot — indexing with them
 //     reads the construction-time layout, wrong after any odd number of
 //     swaps; use df_slot_base()/df_new_slot_base() (or
