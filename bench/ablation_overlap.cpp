@@ -3,7 +3,7 @@
 // different time steps" future work) on a fiber-free run.
 #include <benchmark/benchmark.h>
 
-#include "core/dataflow_solver.hpp"
+#include "core/cube_solver.hpp"
 
 namespace {
 
@@ -26,7 +26,8 @@ SimulationParams fluid_params(int threads) {
 constexpr Index kSteps = 8;
 
 void BM_StepwisePipeline(benchmark::State& state) {
-  DataflowCubeSolver solver(fluid_params(static_cast<int>(state.range(0))));
+  CubeSolver solver(fluid_params(static_cast<int>(state.range(0))),
+                    CubeSolver::Schedule::kDataflow);
   for (auto _ : state) {
     for (Index s = 0; s < kSteps; ++s) solver.step();  // barrier per step
   }
@@ -41,7 +42,8 @@ BENCHMARK(BM_StepwisePipeline)
     ->Iterations(5);
 
 void BM_OverlappedSteps(benchmark::State& state) {
-  DataflowCubeSolver solver(fluid_params(static_cast<int>(state.range(0))));
+  CubeSolver solver(fluid_params(static_cast<int>(state.range(0))),
+                    CubeSolver::Schedule::kDataflow);
   for (auto _ : state) {
     solver.run(kSteps);  // one task graph, no step barriers
   }

@@ -1,6 +1,6 @@
 // Ablation: static cube ownership with barriers (Algorithm 4) vs dynamic
 // task scheduling with per-cube dataflow (the paper's future-work item,
-// implemented as DataflowCubeSolver).
+// CubeSolver's dataflow schedule, SolverKind::kDataflow).
 //
 // Static wins on uncontended dedicated cores (no queue overhead, perfect
 // locality of ownership); dynamic wins when load is uneven (wall cubes,
@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/cube_solver.hpp"
-#include "core/dataflow_solver.hpp"
 
 namespace {
 
@@ -45,7 +44,8 @@ BENCHMARK(BM_StaticCubeSolver)
     ->Iterations(10);
 
 void BM_DataflowCubeSolver(benchmark::State& state) {
-  DataflowCubeSolver solver(bench_params(static_cast<int>(state.range(0))));
+  CubeSolver solver(bench_params(static_cast<int>(state.range(0))),
+                    CubeSolver::Schedule::kDataflow);
   for (auto _ : state) solver.run(1);
 }
 BENCHMARK(BM_DataflowCubeSolver)

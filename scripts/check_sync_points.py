@@ -8,7 +8,7 @@ raw condition-variable wait or atomic spin loop with no `cancel_point`,
 no `mc::` schedule point and no `inst::`/`race::` instrumentation within
 reach is invisible to all of them: it can deadlock without the watchdog
 attributing it, and the model checker cannot preempt or replay it. This
-lint scans src/parallel/ and the five solver translation units for such
+lint scans src/parallel/ and the four solver translation units for such
 constructs and fails CI when one lacks a nearby visibility marker — the
 mechanism by which NEW primitives are forced to join the checked world
 rather than silently bypassing it.
@@ -43,13 +43,12 @@ import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
-# src/parallel plus the five solver translation units named in DESIGN.md.
+# src/parallel plus the four solver translation units named in DESIGN.md.
 TARGETS = [
     "src/parallel",
     "src/core/sequential_solver.cpp",
     "src/core/openmp_solver.cpp",
     "src/core/cube_solver.cpp",
-    "src/core/dataflow_solver.cpp",
     "src/core/distributed2d_solver.cpp",
 ]
 

@@ -37,7 +37,8 @@ inline constexpr int kNumKernels = 9;
 
 /// Rows of the phase table. The first kNumKernels rows are the paper's
 /// kernels in Kernel order; the rest are the phases the fused, dataflow
-/// and distributed pipelines run instead, each billing one kernel.
+/// and distributed pipelines run instead, each billing one kernel. Every
+/// kind times kernels 1-4 in their own rows.
 enum class Phase : int {
   kBending = 0,
   kStretching,
@@ -50,14 +51,12 @@ enum class Phase : int {
   kCopyDf,
   kCollideStream,      ///< fused kernels 5+6
   kSwapDf,             ///< kernel 9 as an O(1) buffer swap
-  kFiberForcesSpread,  ///< distributed kernels 1-4 on the replica
-  kFiberForcesFused,   ///< dataflow kernels 1-3 per fiber + owned spread
   kTaskCollideStream,  ///< dataflow COLLIDE+STREAM task
   kTaskUpdateCopy,     ///< dataflow UPDATE+COPY task
   kExchangeHalos,      ///< distributed 8-message halo exchange
 };
 
-inline constexpr int kNumPhases = 16;
+inline constexpr int kNumPhases = 14;
 
 /// Trace category of a phase's span.
 enum class PhaseCat : std::uint8_t { kKernel, kTask, kHalo };
@@ -80,8 +79,6 @@ inline constexpr std::array<PhaseRow, kNumPhases> kPhaseTable = {{
     {"copy_df", Kernel::kCopyDistribution, PhaseCat::kKernel},
     {"collide_stream", Kernel::kCollision, PhaseCat::kKernel},
     {"swap_df", Kernel::kCopyDistribution, PhaseCat::kKernel},
-    {"fiber_forces_spread", Kernel::kSpreadForce, PhaseCat::kKernel},
-    {"fiber_forces_fused", Kernel::kSpreadForce, PhaseCat::kKernel},
     {"task.collide_stream", Kernel::kCollision, PhaseCat::kTask},
     {"task.update_copy", Kernel::kCollision, PhaseCat::kTask},
     {"exchange_halos", Kernel::kStreaming, PhaseCat::kHalo},

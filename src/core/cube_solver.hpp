@@ -1,4 +1,5 @@
-// The cube-centric LBM-IB program of Section V (Algorithm 4).
+// The cube-centric LBM-IB program of Section V (Algorithm 4), with two
+// schedules for its fluid kernels.
 //
 // The fluid grid is blocked into k^3-node cubes (CubeGrid); cubes are
 // statically assigned to a P x Q x R thread mesh through cube2thread() and
@@ -14,18 +15,47 @@
 // cubes (cube_spread_force_owned). No thread writes a foreign cube and no
 // lock is taken, and each fluid node sums its contributions in the
 // sequential solver's order, so the state is bit-identical across thread
-// counts and distribution policies.
+// counts, distribution policies and schedules.
+//
+// The schedule decides only how kernels 5-7 (and the reference
+// pipeline's kernel 9) run between the spread and the fiber move:
+//   * Schedule::kStatic (SolverKind::kCube), the paper's program: each
+//     thread sweeps its own cubes, with barrier #1 after collision +
+//     streaming and barrier #2 after update_fluid_velocity.
+//   * Schedule::kDataflow (SolverKind::kDataflow), the paper's
+//     future-work "dynamic task scheduling": threads self-schedule
+//     per-cube tasks from a lock-free queue between a spread-done and a
+//     tasks-done barrier. COLLIDE+STREAM(t, c) counts down the update
+//     counter of every cube in region(c), its 27-cube streaming
+//     neighbourhood, and the last one publishes UPDATE+COPY(t, n), which
+//     copies its own cube in the reference pipeline. No thread waits for
+//     the whole grid between the fluid kernels.
 //
 // Barrier placement: Algorithm 4 shows three barriers per step (after
 // streaming, after update_fluid_velocity, and at the end of the step). We
 // add a fourth between the fiber-force kernels 1-3 and spreading, so that
 // every fiber's elastic force and every bin is published before any
-// thread reads it.
-// Collision follows spreading with no barrier between them: it reads only
-// its own cube's force, which only its own thread wrote. Both deviations
-// are documented in DESIGN.md §7.
+// thread reads it. In the static schedule collision follows spreading
+// with no barrier between them: it reads only its own cube's force, which
+// only its own thread wrote. The dataflow schedule's tasks collide any
+// cube, so it waits for every spread, and replaces the two fluid barriers
+// with the tasks-done one: four per step as well. Both deviations are
+// documented in DESIGN.md §7.
+//
+// TIME-STEP OVERLAP (the paper's other future-work item, "overlapping
+// different time steps"): the task graph spans up to kMaxGraphSteps
+// steps. Its dependency counting extends across them — COLLIDE+STREAM(t+1,
+// c) becomes ready when UPDATE+COPY(t, n) has run for every n in
+// region(c), so cubes on one side of the domain may be two phases ahead of
+// the other side. A fiber-free run with no observer advances in such
+// graphs; anything else runs one graph per step. The counters sit in
+// banks [phase][step parity][cube] and re-arm themselves when they fire,
+// so a finished graph leaves them ready for the next, and the queue is
+// sized once for the largest graph.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "core/solver.hpp"
@@ -41,9 +71,20 @@ namespace lbmib {
 
 class CubeSolver final : public Solver {
  public:
+  /// How kernels 5-7 are scheduled (see the file comment).
+  enum class Schedule { kStatic, kDataflow };
+
+  /// Steps of the longest dataflow task graph: the queue's size bound.
+  static constexpr Index kMaxGraphSteps = 32;
+
   CubeSolver(const SimulationParams& params,
              DistributionPolicy policy = DistributionPolicy::kBlock,
              BarrierKind barrier_kind = BarrierKind::kBlocking);
+
+  /// The solver of `schedule`'s SolverKind: the dataflow schedule runs
+  /// on the block owner table and the blocking barrier, unchecked by the
+  /// access checker (its tasks write foreign cubes by design).
+  CubeSolver(const SimulationParams& params, Schedule schedule);
 
   /// NUMA-aware construction: lay the thread mesh hierarchically over
   /// `topology` (numa_distribution.hpp) so each NUMA node owns one
@@ -54,36 +95,73 @@ class CubeSolver final : public Solver {
              DistributionPolicy policy = DistributionPolicy::kBlock,
              BarrierKind barrier_kind = BarrierKind::kBlocking);
 
+  ~CubeSolver() override;
+
   void step() override;
   void run(Index num_steps, const StepObserver& observer = nullptr,
            Index observer_interval = 1) override;
   void snapshot_fluid(FluidGrid& out) const override;
-  std::string name() const override { return "cube"; }
+  /// The SolverKind name of the schedule: "dataflow" for kDataflow.
+  std::string name() const override {
+    return schedule_ == Schedule::kDataflow ? "dataflow" : "cube";
+  }
 
   CubeGrid& cubes() { return grid_; }
   const CubeGrid& cubes() const { return grid_; }
   const CubeDistribution& distribution() const { return dist_; }
   const ThreadMesh& thread_mesh() const { return mesh_; }
 
+  /// Dataflow tasks executed by each thread since construction
+  /// (load-balance probe; all zero under the static schedule).
+  const std::vector<Size>& tasks_executed() const {
+    return tasks_executed_;
+  }
+
  private:
+  CubeSolver(const SimulationParams& params, Schedule schedule,
+             DistributionPolicy policy, BarrierKind barrier_kind);
+
   void restore_fluid(const FluidGrid& fluid) override {
     grid_.from_planar(fluid);
   }
 
-  /// Shared tail of both constructors: access checker, owned-fiber
-  /// lists + forces.
+  /// Shared tail of the constructors: access checker (static schedule),
+  /// owned-fiber lists, task graph (dataflow schedule) and forces.
   void finish_construction(DistributionPolicy policy);
 
-  /// Body of the paper's Thread_entry_fn for `num_steps` steps.
-  /// `steps_before` is steps_completed() when the run began (the
-  /// observer's step base).
-  void thread_entry(int tid, Index num_steps, Index steps_before,
-                    const StepObserver& observer, Index observer_interval);
+  /// Body of the paper's Thread_entry_fn for `num_steps` steps, advanced
+  /// in graphs of at most `max_graph` steps (1 unless the dataflow
+  /// schedule overlaps steps). `steps_before` is steps_completed() when
+  /// the run began (the observer's step base).
+  void thread_entry(int tid, Index num_steps, Index max_graph,
+                    Index steps_before, const StepObserver& observer,
+                    Index observer_interval);
 
   /// Execute `num_steps` steps with a freshly launched persistent team.
   void run_loop(Index num_steps, const StepObserver& observer,
                 Index observer_interval);
 
+  // --- dataflow schedule ------------------------------------------------
+
+  /// Arm the task graph over `graph_steps` <= kMaxGraphSteps steps: seed
+  /// step 0's collide tasks, empty the graph's other queue slots and
+  /// rewind the queue. The dependency counters need no arming: each
+  /// re-arms itself when it fires. Called by a single thread between
+  /// graphs.
+  void arm_graph(Index graph_steps);
+
+  /// The task loop: take the armed graph's tasks until every one of its
+  /// `graph_steps` steps is done.
+  void run_tasks(int tid, Index graph_steps);
+
+  /// Count one finished dependency on `counter`, cube `n`'s counter in
+  /// one bank; the last one re-arms it and publishes `task` to the queue.
+  void count_down(std::atomic<int>& counter, Size n, std::int64_t task);
+
+  /// Wait for `slot` to be published and return it.
+  static std::int64_t take_task(const std::atomic<std::int64_t>& slot);
+
+  Schedule schedule_ = Schedule::kStatic;
   CubeGrid grid_;
   ThreadMesh mesh_;
   CubeDistribution dist_;
@@ -95,8 +173,22 @@ class CubeSolver final : public Solver {
   /// the global fiber numbering across all sheets of the structure.
   std::vector<std::vector<std::pair<Size, Index>>> owned_fibers_;
   /// Debug ownership/phase checker, allocated and attached to grid_ only
-  /// in LBMIB_CHECK_ACCESS builds (null otherwise).
+  /// in LBMIB_CHECK_ACCESS builds of the static schedule (null
+  /// otherwise).
   std::unique_ptr<AccessChecker> access_checker_;
+
+  // Task graph of the dataflow schedule (empty under the static one).
+  /// Distinct streaming neighbourhood (self + up to 26 cubes) per cube.
+  std::vector<std::vector<Size>> region_;
+  /// Dependency counters, flattened [phase][parity][cube]: phase 0 counts
+  /// down to a collide task, phase 1 to an update task; parity is the
+  /// task's step & 1 within its graph.
+  std::vector<std::atomic<int>> pending_;
+  /// Task slots, 2 * num_cubes per step of the largest graph.
+  std::vector<std::atomic<std::int64_t>> queue_;
+  std::atomic<Size> queue_head_{0};
+  std::atomic<Size> queue_tail_{0};
+  std::vector<Size> tasks_executed_;
 };
 
 }  // namespace lbmib

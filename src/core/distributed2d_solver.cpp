@@ -290,13 +290,27 @@ void Distributed2DSolver::rank_entry(int rank, Index num_steps,
                      static_cast<std::int64_t>(step));
     cancel_point("distributed2d:step");
     sync_point("distributed2d:step:start", rank, step);
-    {  // kernels 1-4 on the replica, spread into own tile only
-      KernelScope scope(prof, Phase::kFiberForcesSpread);
+    // Kernels 1-4 on the replica, spread into own tile only.
+    {
+      KernelScope scope(prof, Phase::kBending);
       for (FiberSheet& sheet : r.structure) {
         compute_bending_force(sheet, 0, sheet.num_fibers());
+      }
+    }
+    {
+      KernelScope scope(prof, Phase::kStretching);
+      for (FiberSheet& sheet : r.structure) {
         compute_stretching_force(sheet, 0, sheet.num_fibers());
+      }
+    }
+    {
+      KernelScope scope(prof, Phase::kElastic);
+      for (FiberSheet& sheet : r.structure) {
         compute_elastic_force(sheet, 0, sheet.num_fibers());
       }
+    }
+    {
+      KernelScope scope(prof, Phase::kSpread);
       spread_force_owned(r.structure, grid, r.tile, params_.body_force);
     }
     if (params_.fused_step) {

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "core/cube_solver.hpp"
-#include "core/dataflow_solver.hpp"
 #include "core/distributed2d_solver.hpp"
 #include "core/openmp_solver.hpp"
 #include "core/sequential_solver.hpp"
@@ -97,7 +96,8 @@ std::unique_ptr<Solver> make_solver(SolverKind kind,
     case SolverKind::kCube:
       return std::make_unique<CubeSolver>(params);
     case SolverKind::kDataflow:
-      return std::make_unique<DataflowCubeSolver>(params);
+      return std::make_unique<CubeSolver>(params,
+                                          CubeSolver::Schedule::kDataflow);
     case SolverKind::kDistributed:
       return std::make_unique<Distributed2DSolver>(
           params, Distributed2DSolver::Mesh::kSlabs);

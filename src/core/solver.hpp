@@ -2,13 +2,14 @@
 //
 // A Solver owns the fluid state and the immersed structure, and advances
 // them by executing the paper's nine computational kernels per time step
-// (Algorithm 1). Six SolverKinds run on five implementations. The first
-// three mirror the paper's three programs, the last two its future work:
+// (Algorithm 1). Six SolverKinds run on four implementations, which
+// mirror the paper's three programs and its future work:
 //   * SequentialSolver    - single-threaded reference (Section III),
 //   * OpenMPSolver        - loop-parallel version (Section IV),
-//   * CubeSolver          - cube-centric Pthreads-style version (Section V),
-//   * DataflowCubeSolver  - cube solver with dynamic task scheduling in
-//                           place of the global barriers,
+//   * CubeSolver          - cube-centric Pthreads-style version (Section
+//                           V); it runs both kCube (static cube owners,
+//                           Algorithm 4's barriers) and kDataflow (dynamic
+//                           task scheduling of the fluid kernels),
 //   * Distributed2DSolver - message-passing ranks on ghosted tiles; it
 //                           runs both kDistributed (R x 1 slabs) and
 //                           kDistributed2D (balanced Rx x Ry tiles).
@@ -114,16 +115,16 @@ class Solver {
   KernelProfiler merged_;
 };
 
-/// Which solver implementation to instantiate. kDataflow is the
-/// dynamically scheduled variant of the cube solver; the two distributed
-/// kinds are one message-passing solver on two rank meshes — the paper's
-/// two future-work directions (see core/dataflow_solver.hpp,
+/// Which solver to instantiate. kCube and kDataflow are one cube solver
+/// with two schedules of its fluid kernels, and the two distributed kinds
+/// one message-passing solver on two rank meshes — the paper's two
+/// future-work directions (see core/cube_solver.hpp,
 /// core/distributed2d_solver.hpp).
 enum class SolverKind {
   kSequential,
   kOpenMP,
-  kCube,
-  kDataflow,
+  kCube,      ///< CubeSolver, Schedule::kStatic
+  kDataflow,  ///< CubeSolver, Schedule::kDataflow
   kDistributed,    ///< Distributed2DSolver on R x 1 slabs
   kDistributed2D,  ///< Distributed2DSolver on balanced Rx x Ry tiles
 };

@@ -1,6 +1,5 @@
 #include "core/verification.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -11,9 +10,25 @@
 
 namespace lbmib {
 
+namespace {
+
+/// The larger of `a` and `b`, or NaN if either is NaN. std::max drops a
+/// NaN in its second argument, which would let a state that went NaN
+/// compare as equal to one that did not.
+Real max_nan(Real a, Real b) { return std::isnan(a) || a > b ? a : b; }
+
+/// Fold the difference `diff` into the running maximum `m`.
+void fold(Real& m, Real diff) { m = max_nan(m, std::abs(diff)); }
+
+}  // namespace
+
 Real StateDiff::max_any() const {
-  return std::max({max_df, max_velocity, max_density, max_position,
-                   max_force, max_fluid_force});
+  Real m = max_df;
+  for (Real c : {max_velocity, max_density, max_position, max_force,
+                 max_fluid_force}) {
+    m = max_nan(m, c);
+  }
+  return m;
 }
 
 std::string StateDiff::to_string() const {
@@ -30,19 +45,15 @@ StateDiff compare_fluid(const FluidGrid& a, const FluidGrid& b) {
   StateDiff d;
   for (Size node = 0; node < a.num_nodes(); ++node) {
     for (int dir = 0; dir < kQ; ++dir) {
-      d.max_df = std::max(d.max_df,
-                          std::abs(a.df(dir, node) - b.df(dir, node)));
+      fold(d.max_df, a.df(dir, node) - b.df(dir, node));
     }
-    d.max_density =
-        std::max(d.max_density, std::abs(a.rho(node) - b.rho(node)));
-    d.max_velocity =
-        std::max({d.max_velocity, std::abs(a.ux(node) - b.ux(node)),
-                  std::abs(a.uy(node) - b.uy(node)),
-                  std::abs(a.uz(node) - b.uz(node))});
-    d.max_fluid_force =
-        std::max({d.max_fluid_force, std::abs(a.fx(node) - b.fx(node)),
-                  std::abs(a.fy(node) - b.fy(node)),
-                  std::abs(a.fz(node) - b.fz(node))});
+    fold(d.max_density, a.rho(node) - b.rho(node));
+    fold(d.max_velocity, a.ux(node) - b.ux(node));
+    fold(d.max_velocity, a.uy(node) - b.uy(node));
+    fold(d.max_velocity, a.uz(node) - b.uz(node));
+    fold(d.max_fluid_force, a.fx(node) - b.fx(node));
+    fold(d.max_fluid_force, a.fy(node) - b.fy(node));
+    fold(d.max_fluid_force, a.fz(node) - b.fz(node));
   }
   return d;
 }
@@ -55,10 +66,8 @@ StateDiff compare_sheets(const FiberSheet& a, const FiberSheet& b) {
   for (Size i = 0; i < a.num_nodes(); ++i) {
     const Vec3 dp = a.position(i) - b.position(i);
     const Vec3 df = a.elastic_force(i) - b.elastic_force(i);
-    d.max_position = std::max(
-        {d.max_position, std::abs(dp.x), std::abs(dp.y), std::abs(dp.z)});
-    d.max_force = std::max(
-        {d.max_force, std::abs(df.x), std::abs(df.y), std::abs(df.z)});
+    for (Real c : {dp.x, dp.y, dp.z}) fold(d.max_position, c);
+    for (Real c : {df.x, df.y, df.z}) fold(d.max_force, c);
   }
   return d;
 }
@@ -69,8 +78,8 @@ StateDiff compare_structures(const Structure& a, const Structure& b) {
   StateDiff d;
   for (Size s = 0; s < a.size(); ++s) {
     const StateDiff ds = compare_sheets(a[s], b[s]);
-    d.max_position = std::max(d.max_position, ds.max_position);
-    d.max_force = std::max(d.max_force, ds.max_force);
+    d.max_position = max_nan(d.max_position, ds.max_position);
+    d.max_force = max_nan(d.max_force, ds.max_force);
   }
   return d;
 }

@@ -17,7 +17,9 @@ namespace lbmib {
 class Solver;
 class FluidGrid;
 
-/// Maximum absolute differences between two simulation states.
+/// Maximum absolute differences between two simulation states. A NaN
+/// difference propagates: it makes its maximum, max_any() and within()'s
+/// comparison NaN, so a NaN state is never within any tolerance.
 struct StateDiff {
   Real max_df = 0.0;        ///< distribution functions
   Real max_velocity = 0.0;  ///< macroscopic velocity components

@@ -8,7 +8,7 @@
 // three flavours that differ only in who may write a cube: the paper's
 // owner-locked spread, where any thread adds into any cube under the
 // owner thread's lock; a single-writer spread; and the owner-computes
-// spread the cube and dataflow solvers run, where each owner resets its
+// spread both cube-solver schedules run, where each owner resets its
 // own cubes to the body force, walks only the fiber nodes binned to it
 // (cube/spread_bins.hpp) and adds only into those cubes, so no thread
 // writes a foreign cube, no lock is taken and no add is atomic. All
@@ -54,7 +54,7 @@ void cube_stream(CubeGrid& grid, Size cube);
 void cube_collide_stream(CubeGrid& grid, Real tau, Size cube,
                          bool simd = true, const MrtOperator* mrt = nullptr);
 
-/// Explicit-parity overload for the dataflow solver, whose task graph
+/// Explicit-parity overload for the dataflow schedule, whose task graph
 /// tracks swap parity per *step* rather than on the grid: read df from
 /// slot base `src_base`, write df_new at `dst_base` (each
 /// CubeGrid::df_base_for of a captured parity).

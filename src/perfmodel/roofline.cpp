@@ -53,8 +53,6 @@ const std::vector<KernelTraffic>& traffic_table() {
       {"task.update_copy", "node", (19 + 3 + 4) * kReal, 110.0},
       {"copy_df", "node", (19 + 19) * kReal, 0.0},
       {"spread", "point", (3 + 64 * 3 * 2) * kReal, 600.0},
-      {"fiber_forces_spread", "point", (3 + 64 * 3 * 2) * kReal, 730.0},
-      {"fiber_forces_fused", "point", (3 + 64 * 3 * 2) * kReal, 730.0},
       {"move_fibers", "point", (64 * 3 + 3 * 2) * kReal, 480.0},
       {"bending", "point", 7 * 3 * kReal, 130.0},
       {"stretching", "point", 5 * 3 * kReal, 90.0},

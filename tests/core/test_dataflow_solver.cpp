@@ -2,7 +2,7 @@
 
 #include <numeric>
 
-#include "core/dataflow_solver.hpp"
+#include "core/cube_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
 
@@ -29,7 +29,7 @@ TEST_P(DataflowEquivalence, MatchesSequential) {
   SequentialSolver seq(p);
   p.num_threads = threads;
   p.cube_size = cube_size;
-  DataflowCubeSolver flow(p);
+  CubeSolver flow(p, CubeSolver::Schedule::kDataflow);
   seq.run(8);
   flow.run(8);
   const StateDiff diff = compare_solvers(seq, flow);
@@ -51,7 +51,7 @@ TEST(DataflowSolver, ChannelFlowMatchesSequential) {
   p.sheet_origin = {6.0, 6.0, 6.0};
   SequentialSolver seq(p);
   p.num_threads = 4;
-  DataflowCubeSolver flow(p);
+  CubeSolver flow(p, CubeSolver::Schedule::kDataflow);
   seq.run(8);
   flow.run(8);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-11);
@@ -70,7 +70,7 @@ TEST(DataflowSolver, MultiSheetMatchesSequential) {
   p.extra_sheets.push_back(second);
   SequentialSolver seq(p);
   p.num_threads = 3;
-  DataflowCubeSolver flow(p);
+  CubeSolver flow(p, CubeSolver::Schedule::kDataflow);
   seq.run(6);
   flow.run(6);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-11);
@@ -79,7 +79,7 @@ TEST(DataflowSolver, MultiSheetMatchesSequential) {
 TEST(DataflowSolver, EveryTaskExecutedExactlyOncePerStep) {
   SimulationParams p = small_params();
   p.num_threads = 4;
-  DataflowCubeSolver flow(p);
+  CubeSolver flow(p, CubeSolver::Schedule::kDataflow);
   const Index steps = 5;
   flow.run(steps);
   const Size total = std::accumulate(flow.tasks_executed().begin(),
@@ -93,7 +93,7 @@ TEST(DataflowSolver, WorkIsSharedAcrossThreads) {
   // that at least two threads participated across a longer run).
   SimulationParams p = small_params();
   p.num_threads = 4;
-  DataflowCubeSolver flow(p);
+  CubeSolver flow(p, CubeSolver::Schedule::kDataflow);
   flow.run(10);
   int participating = 0;
   for (Size t : flow.tasks_executed()) {
@@ -105,7 +105,8 @@ TEST(DataflowSolver, WorkIsSharedAcrossThreads) {
 TEST(DataflowSolver, StepByStepMatchesSingleRun) {
   SimulationParams p = small_params();
   p.num_threads = 2;
-  DataflowCubeSolver a(p), b(p);
+  CubeSolver a(p, CubeSolver::Schedule::kDataflow);
+  CubeSolver b(p, CubeSolver::Schedule::kDataflow);
   a.run(6);
   for (int i = 0; i < 6; ++i) b.step();
   EXPECT_LT(compare_solvers(a, b).max_any(), 1e-11);
@@ -114,7 +115,7 @@ TEST(DataflowSolver, StepByStepMatchesSingleRun) {
 TEST(DataflowSolver, ObserverRunsAtInterval) {
   SimulationParams p = small_params();
   p.num_threads = 4;
-  DataflowCubeSolver flow(p);
+  CubeSolver flow(p, CubeSolver::Schedule::kDataflow);
   std::vector<Index> seen;
   flow.run(
       6, [&](Solver&, Index step) { seen.push_back(step); }, 2);
@@ -128,7 +129,7 @@ TEST(DataflowSolver, ZeroFiberSimulation) {
   p.num_fibers = 0;
   p.nodes_per_fiber = 0;
   p.num_threads = 4;
-  DataflowCubeSolver flow(p);
+  CubeSolver flow(p, CubeSolver::Schedule::kDataflow);
   flow.run(5);
   EXPECT_EQ(flow.steps_completed(), 5);
 }
@@ -147,7 +148,7 @@ TEST(DataflowSolver, SingleCubeGridStillWorks) {
   p.cube_size = 16;  // 16^3 grid -> a single cube
   p.num_threads = 4;
   SequentialSolver seq(small_params());
-  DataflowCubeSolver flow(p);
+  CubeSolver flow(p, CubeSolver::Schedule::kDataflow);
   seq.run(4);
   flow.run(4);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-11);

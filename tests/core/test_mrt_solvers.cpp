@@ -9,7 +9,6 @@
 
 #include "common/config_file.hpp"
 #include "core/cube_solver.hpp"
-#include "core/dataflow_solver.hpp"
 #include "core/distributed2d_solver.hpp"
 #include "core/openmp_solver.hpp"
 #include "core/sequential_solver.hpp"
@@ -39,7 +38,7 @@ TEST(MrtSolvers, AllParallelSolversMatchSequential) {
   cube.run(8);
   EXPECT_LT(compare_solvers(seq, cube).max_any(), 1e-11) << "cube";
 
-  DataflowCubeSolver flow(p);
+  CubeSolver flow(p, CubeSolver::Schedule::kDataflow);
   flow.run(8);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-11) << "dataflow";
 

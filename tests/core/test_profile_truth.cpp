@@ -117,22 +117,25 @@ std::vector<Golden> golden_table() {
       "kernel:update_velocity", "kernel:move_fibers", "kernel:copy_df",
       "barrier:barrier.wait",   "step:step"};
   const std::set<std::string> dataflow_reference = {
-      "kernel:fiber_forces_fused", "task:task.collide_stream",
-      "task:task.update_copy",     "kernel:move_fibers",
-      "barrier:barrier.wait",      "step:step"};
+      "kernel:bending",           "kernel:stretching",
+      "kernel:elastic",           "kernel:spread",
+      "task:task.collide_stream", "task:task.update_copy",
+      "kernel:move_fibers",       "barrier:barrier.wait",
+      "step:step"};
   std::set<std::string> dataflow_fused = dataflow_reference;
   dataflow_fused.insert("kernel:swap_df");
   const std::set<std::string> distributed_fused = {
-      "kernel:fiber_forces_spread", "kernel:collide_stream",
-      "halo:exchange_halos",        "kernel:update_velocity",
-      "kernel:move_fibers",         "kernel:swap_df",
-      "barrier:barrier.wait",       "step:step"};
+      "kernel:bending",         "kernel:stretching",  "kernel:elastic",
+      "kernel:spread",          "kernel:collide_stream",
+      "halo:exchange_halos",    "kernel:update_velocity",
+      "kernel:move_fibers",     "kernel:swap_df",
+      "barrier:barrier.wait",   "step:step"};
   const std::set<std::string> distributed_reference = {
-      "kernel:fiber_forces_spread", "kernel:collide",
-      "kernel:stream",              "halo:exchange_halos",
-      "kernel:update_velocity",     "kernel:move_fibers",
-      "kernel:copy_df",             "barrier:barrier.wait",
-      "step:step"};
+      "kernel:bending",         "kernel:stretching",  "kernel:elastic",
+      "kernel:spread",          "kernel:collide",     "kernel:stream",
+      "halo:exchange_halos",    "kernel:update_velocity",
+      "kernel:move_fibers",     "kernel:copy_df",
+      "barrier:barrier.wait",   "step:step"};
 
   const std::set<int> all = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   const std::set<int> fused_no_stream = {1, 2, 3, 4, 5, 7, 8, 9};
@@ -143,20 +146,17 @@ std::vector<Golden> golden_table() {
       {SolverKind::kOpenMP, false, planar_reference, all},
       {SolverKind::kCube, true, cube_fused, fused_no_stream},
       {SolverKind::kCube, false, cube_reference, all},
-      // Dataflow fuses kernels 1-4 into one fiber pass billed to kernel
-      // 4 and bills both task kinds to kernel 5; its fused swap bills 9.
-      {SolverKind::kDataflow, true, dataflow_fused, {4, 5, 8, 9}},
-      {SolverKind::kDataflow, false, dataflow_reference, {4, 5, 8}},
-      // The distributed ranks run kernels 1-4 as one replica pass (4)
-      // and bill the halo exchange to kernel 6 under both pipelines.
-      {SolverKind::kDistributed, true, distributed_fused,
-       {4, 5, 6, 7, 8, 9}},
-      {SolverKind::kDistributed, false, distributed_reference,
-       {4, 5, 6, 7, 8, 9}},
-      {SolverKind::kDistributed2D, true, distributed_fused,
-       {4, 5, 6, 7, 8, 9}},
-      {SolverKind::kDistributed2D, false, distributed_reference,
-       {4, 5, 6, 7, 8, 9}},
+      // Dataflow bills both task kinds to kernel 5; its fused swap
+      // bills 9.
+      {SolverKind::kDataflow, true, dataflow_fused, {1, 2, 3, 4, 5, 8, 9}},
+      {SolverKind::kDataflow, false, dataflow_reference,
+       {1, 2, 3, 4, 5, 8}},
+      // The distributed ranks bill the halo exchange to kernel 6 under
+      // both pipelines.
+      {SolverKind::kDistributed, true, distributed_fused, all},
+      {SolverKind::kDistributed, false, distributed_reference, all},
+      {SolverKind::kDistributed2D, true, distributed_fused, all},
+      {SolverKind::kDistributed2D, false, distributed_reference, all},
   };
 }
 

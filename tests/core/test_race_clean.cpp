@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "core/cube_solver.hpp"
-#include "core/dataflow_solver.hpp"
 #include "core/distributed2d_solver.hpp"
 #include "core/openmp_solver.hpp"
 #include "core/sequential_solver.hpp"
@@ -62,19 +61,19 @@ TEST(RaceClean, CubeSolverUnfused) {
 
 TEST(RaceClean, DataflowSolver) {
   ScopedRaceDetector sd;
-  DataflowCubeSolver solver(fsi_params());
+  CubeSolver solver(fsi_params(), CubeSolver::Schedule::kDataflow);
   EXPECT_NO_THROW(solver.run(4));
 }
 
 TEST(RaceClean, DataflowSolverOverlapped) {
   // Fiber-free runs take the cross-step overlapped task graph; its
   // pending-counter and queue-slot edges must be sufficient on their own
-  // (no phase barriers exist on this path).
+  // (no phase barrier separates the steps of one graph).
   ScopedRaceDetector sd;
   SimulationParams p = fsi_params();
   p.num_fibers = 0;
   p.nodes_per_fiber = 0;
-  DataflowCubeSolver solver(p);
+  CubeSolver solver(p, CubeSolver::Schedule::kDataflow);
   EXPECT_NO_THROW(solver.run(6));
   EXPECT_EQ(solver.steps_completed(), 6);
 }
@@ -108,7 +107,7 @@ TEST(RaceClean, ChannelBoundaryAcrossSolvers) {
   }
   {
     ScopedRaceDetector sd;
-    DataflowCubeSolver solver(p);
+    CubeSolver solver(p, CubeSolver::Schedule::kDataflow);
     EXPECT_NO_THROW(solver.run(3));
   }
   {

@@ -8,7 +8,6 @@
 
 #include "common/rng.hpp"
 #include "core/cube_solver.hpp"
-#include "core/dataflow_solver.hpp"
 #include "core/distributed2d_solver.hpp"
 #include "core/openmp_solver.hpp"
 #include "core/sequential_solver.hpp"
@@ -78,7 +77,7 @@ TEST_P(RandomizedEquivalence, AllSolversMatchSequential) {
   cube.run(5);
   EXPECT_LT(compare_solvers(seq, cube).max_any(), 1e-11) << "cube";
 
-  DataflowCubeSolver flow(p);
+  CubeSolver flow(p, CubeSolver::Schedule::kDataflow);
   flow.run(5);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-11) << "dataflow";
   EXPECT_EQ(compare_solvers(cube, flow).max_any(), 0.0) << "dataflow vs cube";

@@ -16,7 +16,6 @@
 #include <atomic>
 
 #include "core/cube_solver.hpp"
-#include "core/dataflow_solver.hpp"
 #include "core/distributed2d_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
@@ -90,14 +89,14 @@ class OwnerComputesDeterminism
     EXPECT_EQ(compare_solvers(seq, one).max_any(), 0.0);
     if constexpr (kKind == SolverKind::kDataflow) {
       // Against its own 1-thread run and against CubeSolver.
-      DataflowCubeSolver flow_one(p);
+      CubeSolver flow_one(p, CubeSolver::Schedule::kDataflow);
       flow_one.run(kDeterminismSteps);
       EXPECT_EQ(compare_solvers(one, flow_one).max_any(), 0.0);
       for (int threads : {2, 3, 4, 5, 8}) {
         SCOPED_TRACE(std::to_string(threads) + " threads");
         SimulationParams pt = p;
         pt.num_threads = threads;
-        DataflowCubeSolver flow(pt);
+        CubeSolver flow(pt, CubeSolver::Schedule::kDataflow);
         flow.run(kDeterminismSteps);
         EXPECT_EQ(compare_solvers(flow_one, flow).max_any(), 0.0);
         EXPECT_EQ(compare_solvers(one, flow).max_any(), 0.0);
@@ -171,7 +170,7 @@ TEST_P(DataflowConcurrency, DynamicSchedulingMatchesSequential) {
   // traffic in the repo.
   SimulationParams p = stress_params();
   p.num_threads = GetParam();
-  DataflowCubeSolver dataflow(p);
+  CubeSolver dataflow(p, CubeSolver::Schedule::kDataflow);
   dataflow.run(kSteps);
   EXPECT_LT(compare_solvers(reference(), dataflow).max_any(), 1e-11);
 }
@@ -187,7 +186,7 @@ TEST_P(DataflowConcurrency, FiberFreeRunMatchesCube) {
   p.num_threads = GetParam();
   CubeSolver cube(p);
   cube.run(kSteps + 1);
-  DataflowCubeSolver dataflow(p);
+  CubeSolver dataflow(p, CubeSolver::Schedule::kDataflow);
   dataflow.run(kSteps + 1);
   EXPECT_EQ(compare_solvers(cube, dataflow).max_any(), 0.0);
 }

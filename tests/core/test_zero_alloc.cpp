@@ -3,7 +3,9 @@
 // with one that tallies every byte any thread asks for; the step
 // observer reads the tally, and the steps between its 4th and its last
 // call of one run(12) must have allocated nothing. Per-step scratch (the
-// spread bins among it) must therefore be sized once and reused.
+// spread bins among it) must therefore be sized once and reused. The
+// dataflow task graph is bounded the same way: a long fiber-free run
+// allocates only its team, whatever its length.
 //
 // The distributed kinds stay out for now: Distributed2DSolver allocates
 // its halo vectors, fiber all-reduce buffers and channel blocks on every
@@ -131,6 +133,25 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(solver_kind_name(info.param.kind)) +
              (info.param.fused ? "_fused" : "_reference");
     });
+
+TEST(ZeroAllocDataflow, LongFiberFreeRunAllocatesUnderOneMegabyte) {
+  // Overlapped steps run in graphs of at most kMaxGraphSteps steps over a
+  // queue sized at construction, so the run's length sizes nothing. A
+  // queue holding the whole run would be 2 * 64 cubes * 20000 steps * 8 B
+  // (about 20.5 MB) on this input.
+  SimulationParams p = presets::tiny();
+  p.num_fibers = 0;
+  p.nodes_per_fiber = 0;
+  p.num_threads = 2;
+  std::unique_ptr<Solver> solver = make_solver(SolverKind::kDataflow, p);
+  constexpr Index kSteps = 20000;
+  const std::size_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+  solver->run(kSteps);
+  const std::size_t bytes =
+      g_allocated_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(solver->steps_completed(), kSteps);
+  EXPECT_LT(bytes, std::size_t{1} << 20) << bytes << " bytes allocated";
+}
 
 }  // namespace
 }  // namespace lbmib

@@ -3,7 +3,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cube_solver.hpp"
-#include "core/dataflow_solver.hpp"
 #include "core/openmp_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
@@ -222,7 +221,7 @@ TEST(InletOutlet, AllParallelSolversMatchSequential) {
   cube.run(10);
   EXPECT_LT(compare_solvers(seq, cube).max_any(), 1e-11) << "cube";
 
-  DataflowCubeSolver flow(p);
+  CubeSolver flow(p, CubeSolver::Schedule::kDataflow);
   flow.run(10);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-11) << "dataflow";
 }

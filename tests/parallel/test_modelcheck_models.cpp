@@ -322,7 +322,7 @@ TEST(McModels, ThreadTeamErrorCancelsStuckPartner) {
 // The dataflow handshake in miniature: two producers decrement a
 // dependence counter; exactly the last one publishes the queue slot;
 // a consumer blocks on the slot. Mirrors the seams in
-// core/dataflow_solver.cpp (kEdgeAcqRel on the counter, kEdgeRelease /
+// core/cube_solver.cpp (kEdgeAcqRel on the counter, kEdgeRelease /
 // kEdgeAcquire plus notify on the slot) including the race-detector
 // edges, so a publish protocol error would surface as a race or a
 // deadlock in some schedule.
