@@ -55,9 +55,11 @@ CubeSolver::CubeSolver(const SimulationParams& params, Schedule schedule,
                         grid_.cubes_y(), grid_.cubes_z())),
       dist_(grid_.cubes_x(), grid_.cubes_y(), grid_.cubes_z(), mesh_,
             policy),
+      barrier_kind_(barrier_kind),
       barrier_(make_barrier(barrier_kind, params.num_threads)),
       bins_(structure_, dist_.owner_table(), params.num_threads,
             params.num_threads),
+      marks_(bins_),
       owned_fibers_(static_cast<Size>(params.num_threads)) {
   finish_construction(policy);
 }
@@ -71,9 +73,11 @@ CubeSolver::CubeSolver(const SimulationParams& params,
       dist_(make_numa_distribution(topology, params.num_threads,
                                    grid_.cubes_x(), grid_.cubes_y(),
                                    grid_.cubes_z(), policy)),
+      barrier_kind_(barrier_kind),
       barrier_(make_barrier(barrier_kind, params.num_threads)),
       bins_(structure_, dist_.owner_table(), params.num_threads,
             params.num_threads),
+      marks_(bins_),
       owned_fibers_(static_cast<Size>(params.num_threads)) {
   finish_construction(policy);
 }
@@ -116,6 +120,7 @@ void CubeSolver::finish_construction(DistributionPolicy policy) {
     }
   }
   tasks_executed_.assign(static_cast<Size>(params_.num_threads), 0);
+  swept_nodes_.assign(static_cast<Size>(params_.num_threads), 0);
   if (schedule_ == Schedule::kDataflow) {
     // Distinct streaming neighbourhoods. With periodic wrap on tiny grids
     // a neighbour may coincide with the cube itself or with another
@@ -135,19 +140,29 @@ void CubeSolver::finish_construction(DistributionPolicy policy) {
       std::sort(r.begin(), r.end());
       r.erase(std::unique(r.begin(), r.end()), r.end());
     }
-    // Four banks: [phase][parity], each armed with every cube's region
-    // size.
+    // Four banks: [phase][parity].
     pending_ = std::vector<std::atomic<int>>(4 * ncubes);
-    for (Size i = 0; i < pending_.size(); ++i) {
-      pending_[i].store(static_cast<int>(region_[i % ncubes].size()),
-                        std::memory_order_relaxed);
-    }
+    arm_counters();
     queue_ = std::vector<std::atomic<std::int64_t>>(
         2 * ncubes * static_cast<Size>(kMaxGraphSteps));
   }
-  // Kernel 4 rewrites the force field every step; until the first step
-  // it holds the body force alone.
+  // Until the first step the force field holds the body force alone, so
+  // no cube is marked; the moments are the initial ones.
   grid_.reset_forces(params_.body_force);
+}
+
+void CubeSolver::arm_counters() {
+  const Size ncubes = grid_.num_cubes();
+  for (Size i = 0; i < pending_.size(); ++i) {
+    pending_[i].store(static_cast<int>(region_[i % ncubes].size()),
+                      std::memory_order_relaxed);
+  }
+}
+
+void CubeSolver::restore_fluid(const FluidGrid& fluid) {
+  grid_.from_planar(fluid);
+  marks_.mark_all();
+  moments_stale_ = false;
 }
 
 void CubeSolver::arm_graph(Index graph_steps) {
@@ -224,7 +239,7 @@ std::int64_t CubeSolver::take_task(const std::atomic<std::int64_t>& slot) {
   return task;
 }
 
-void CubeSolver::run_tasks(int tid, Index graph_steps) {
+Size CubeSolver::run_tasks(int tid, Index graph_steps) {
   KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
   const Size ncubes = grid_.num_cubes();
   const Size total_tasks = 2 * ncubes * static_cast<Size>(graph_steps);
@@ -240,6 +255,7 @@ void CubeSolver::run_tasks(int tid, Index graph_steps) {
   // Counted here and published once per graph: the per-thread counters
   // share a cache line.
   Size executed = 0;
+  Size swept = 0;
   // Each task bills its own row; the slot-wait spin bills nothing.
   Size slot;
   while ((slot = queue_head_.fetch_add(1, std::memory_order_relaxed)) <
@@ -282,7 +298,11 @@ void CubeSolver::run_tasks(int tid, Index graph_steps) {
         cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube,
                                 dst_base);
       }
-      cube_update_velocity(grid_, cube, dst_base);
+      // The fused pipeline's kernel 7 only where kernel 8 reads it.
+      if (!params_.fused_step || marks_.marked(cube)) {
+        cube_update_velocity(grid_, cube, dst_base);
+        swept += grid_.nodes_per_cube();
+      }
       if (!params_.fused_step) cube_copy_distributions(grid_, cube);
       if (step + 1 < static_cast<Size>(graph_steps)) {
         // collide(step+1, n) may only touch cubes whose step-`step` state
@@ -299,6 +319,7 @@ void CubeSolver::run_tasks(int tid, Index graph_steps) {
   LBMIB_TRACE_ON(if (obs::Tracer::active()) {
     obs::metric_dataflow_tasks().inc(static_cast<double>(executed));
   })
+  return swept;
 }
 
 void CubeSolver::thread_entry(int tid, Index num_steps, Index max_graph,
@@ -317,6 +338,8 @@ void CubeSolver::thread_entry(int tid, Index num_steps, Index max_graph,
   const std::span<const Size> my_cubes = bins_.owned_cubes(tid);
   const std::vector<std::pair<Size, Index>>& my_fibers =
       owned_fibers_[static_cast<Size>(tid)];
+  // Kernel-7 nodes, published once after the loop.
+  Size swept = 0;
 
   // Liveness: one sync point per phase per step plus a cancel poll at
   // the step boundary. The label names the sync point the thread is
@@ -327,6 +350,8 @@ void CubeSolver::thread_entry(int tid, Index num_steps, Index max_graph,
     const Index graph_steps = std::min(max_graph, num_steps - step);
     cancel_point("cube:step");
     sync_point("cube:step:start", tid, step);
+    // Before any thread writes the fluid: the first barrier follows.
+    if (tid == 0 && params_.fused_step) moments_stale_ = true;
     // One bar per thread per step (per graph) in the trace timeline;
     // kernel and barrier-wait spans nest inside it.
     LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
@@ -361,11 +386,12 @@ void CubeSolver::thread_entry(int tid, Index num_steps, Index max_graph,
     sync_point("cube:barrier:spread", tid, step, *barrier_, checker,
                StepPhase::kCollideStream);
 
-    // --- kernel 4, owner computes: reset own cubes to the body force,
-    // then spread the fiber nodes binned to them ---------------------------
+    // --- kernel 4, owner computes: reset the own cubes the last spread
+    // wrote to the body force, then spread the fiber nodes binned to the
+    // own cubes and mark the cubes written -------------------------------
     {
       KernelScope scope(prof, Phase::kSpread);
-      cube_spread_force_owned(structure_, grid_, bins_, tid,
+      cube_spread_force_owned(structure_, grid_, bins_, marks_, tid,
                               params_.body_force);
     }
 
@@ -407,7 +433,13 @@ void CubeSolver::thread_entry(int tid, Index num_steps, Index max_graph,
                                     grid_.df_new_slot_base());
           }
         }
-        for (Size cube : my_cubes) cube_update_velocity(grid_, cube);
+        // The fused pipeline's kernel 7 only where kernel 8 reads it.
+        const std::span<const std::uint32_t> marked = marks_.owned(tid);
+        for (Size i = 0; i < my_cubes.size(); ++i) {
+          if (params_.fused_step && marked[i] == 0) continue;
+          cube_update_velocity(grid_, my_cubes[i]);
+          swept += grid_.nodes_per_cube();
+        }
       }
       sync_point("cube:barrier:update", tid, step, *barrier_, checker,
                  StepPhase::kMoveCopy);  // paper barrier #2
@@ -416,7 +448,7 @@ void CubeSolver::thread_entry(int tid, Index num_steps, Index max_graph,
       // Any task may collide any cube: every spread first.
       sync_point("dataflow:barrier:spread", tid, step, *barrier_);
       sync_point("dataflow:task-loop", tid, step);
-      run_tasks(tid, graph_steps);
+      swept += run_tasks(tid, graph_steps);
       // All velocities in place.
       sync_point("dataflow:barrier:tasks-done", tid, step, *barrier_);
     }
@@ -464,6 +496,7 @@ void CubeSolver::thread_entry(int tid, Index num_steps, Index max_graph,
       barrier_->arrive_and_wait();
     }
   }
+  swept_nodes_[static_cast<Size>(tid)] += swept;
 }
 
 void CubeSolver::run_loop(Index num_steps, const StepObserver& observer,
@@ -480,10 +513,18 @@ void CubeSolver::run_loop(Index num_steps, const StepObserver& observer,
     arm_graph(std::min(max_graph, num_steps));
   }
   ThreadTeam team(params_.num_threads);
-  team.run([&](int tid) {
-    thread_entry(tid, num_steps, max_graph, steps_before, observer,
-                 observer_interval);
-  });
+  try {
+    team.run([&](int tid) {
+      thread_entry(tid, num_steps, max_graph, steps_before, observer,
+                   observer_interval);
+    });
+  } catch (...) {
+    // The unwound team left the barrier poisoned (barrier.hpp) and the
+    // task graph's counters part-way down.
+    barrier_ = make_barrier(barrier_kind_, params_.num_threads);
+    arm_counters();
+    throw;
+  }
   merge_thread_profiles();
 }
 
@@ -497,7 +538,35 @@ void CubeSolver::run(Index num_steps, const StepObserver& observer,
 }
 
 void CubeSolver::snapshot_fluid(FluidGrid& out) const {
+  // The stored moments are a function of df and the force, filled in on
+  // read: settling them changes nothing a caller can observe.
+  const_cast<CubeSolver*>(this)->settle_moments();
   grid_.to_planar(out);
+}
+
+void CubeSolver::settle_moments() {
+  if (!moments_stale_) return;
+  {
+    KernelScope scope(thread_profiles_[0], Phase::kUpdateVelocity);
+    cube_settle_moments(grid_);
+  }
+  settled_nodes_ += grid_.num_nodes();
+  moments_stale_ = false;
+  merge_thread_profiles();
+}
+
+double CubeSolver::update_velocity_nodes(Phase row) const {
+  const Phase in_step = schedule_ == Schedule::kDataflow
+                            ? Phase::kTaskUpdateCopy
+                            : Phase::kUpdateVelocity;
+  double nodes = 0.0;
+  if (row == in_step) {
+    for (const Size n : swept_nodes_) nodes += static_cast<double>(n);
+  }
+  if (row == Phase::kUpdateVelocity) {
+    nodes += static_cast<double>(settled_nodes_);
+  }
+  return nodes;
 }
 
 }  // namespace lbmib

@@ -17,19 +17,36 @@
 // sequential solver's order, so the state is bit-identical across thread
 // counts, distribution policies and schedules.
 //
+// Kernel 7 only where it is read. Under the fused pipeline nothing in a
+// step reads the stored moments but kernel 8: the collision takes rho
+// and u from df and the force, and inlet/outlet from the streamed df.
+// Kernel 8 reads the velocity of the support nodes this step's spread
+// wrote, and each owner's spread marks the cubes it writes (SpreadMarks,
+// cube/spread_bins.hpp). So both schedules run kernel 7 on the marked
+// cubes only, and leave the moments of the others stale. snapshot_fluid,
+// the one way anything reads the fluid of a cube kind (health scans,
+// checkpoints, compare_fluid, VTK), first settles them with one kernel-7
+// sweep over every cube, billed to the kernel-7 row, which gives the
+// moments the sweep of every step would have left. The same marks tell
+// kernel 4 which cubes to reset: outside the marked cubes the force is
+// exactly the body force. The reference pipeline keeps the paper's
+// kernel 7 on every cube every step.
+//
 // The schedule decides only how kernels 5-7 (and the reference
 // pipeline's kernel 9) run between the spread and the fiber move:
 //   * Schedule::kStatic (SolverKind::kCube), the paper's program: each
 //     thread sweeps its own cubes, with barrier #1 after collision +
-//     streaming and barrier #2 after update_fluid_velocity.
+//     streaming and barrier #2 after update_fluid_velocity (its marked
+//     cubes under the fused pipeline).
 //   * Schedule::kDataflow (SolverKind::kDataflow), the paper's
 //     future-work "dynamic task scheduling": threads self-schedule
 //     per-cube tasks from a lock-free queue between a spread-done and a
 //     tasks-done barrier. COLLIDE+STREAM(t, c) counts down the update
 //     counter of every cube in region(c), its 27-cube streaming
 //     neighbourhood, and the last one publishes UPDATE+COPY(t, n), which
-//     copies its own cube in the reference pipeline. No thread waits for
-//     the whole grid between the fluid kernels.
+//     runs inlet/outlet, kernel 7 (a marked cube only, under the fused
+//     pipeline) and, in the reference pipeline, the copy of its own cube.
+//     No thread waits for the whole grid between the fluid kernels.
 //
 // Barrier placement: Algorithm 4 shows three barriers per step (after
 // streaming, after update_fluid_velocity, and at the end of the step). We
@@ -98,9 +115,18 @@ class CubeSolver final : public Solver {
   ~CubeSolver() override;
 
   void step() override;
+  /// A run whose team unwinds (a cancellation, a failed worker) leaves
+  /// the solver able to run again: the barrier is rebuilt and the task
+  /// graph's counters are re-armed. The fluid and fibers are left
+  /// part-way through a step; restore_state a saved state first.
   void run(Index num_steps, const StepObserver& observer = nullptr,
            Index observer_interval = 1) override;
+  /// Settles the stored moments first if a fused step left them stale.
   void snapshot_fluid(FluidGrid& out) const override;
+  /// In-step sweeps under the schedule's kernel-7 row (update_velocity,
+  /// or the dataflow task.update_copy), plus the settle sweeps under
+  /// update_velocity.
+  double update_velocity_nodes(Phase row) const override;
   /// The SolverKind name of the schedule: "dataflow" for kDataflow.
   std::string name() const override {
     return schedule_ == Schedule::kDataflow ? "dataflow" : "cube";
@@ -121,9 +147,17 @@ class CubeSolver final : public Solver {
   CubeSolver(const SimulationParams& params, Schedule schedule,
              DistributionPolicy policy, BarrierKind barrier_kind);
 
-  void restore_fluid(const FluidGrid& fluid) override {
-    grid_.from_planar(fluid);
-  }
+  /// Adopt `fluid`, moments included, and mark every cube, since the
+  /// restored force field may hold anything.
+  void restore_fluid(const FluidGrid& fluid) override;
+
+  /// Kernel 7 over every cube if a fused step left the moments stale,
+  /// on the calling thread: worker 0 inside a step observer, or the
+  /// caller between runs.
+  void settle_moments();
+
+  /// Arm every dependency counter with its cube's region size.
+  void arm_counters();
 
   /// Shared tail of the constructors: access checker (static schedule),
   /// owned-fiber lists, task graph (dataflow schedule) and forces.
@@ -151,8 +185,8 @@ class CubeSolver final : public Solver {
   void arm_graph(Index graph_steps);
 
   /// The task loop: take the armed graph's tasks until every one of its
-  /// `graph_steps` steps is done.
-  void run_tasks(int tid, Index graph_steps);
+  /// `graph_steps` steps is done. Returns the nodes its kernel 7 swept.
+  Size run_tasks(int tid, Index graph_steps);
 
   /// Count one finished dependency on `counter`, cube `n`'s counter in
   /// one bank; the last one re-arms it and publishes `task` to the queue.
@@ -165,10 +199,20 @@ class CubeSolver final : public Solver {
   CubeGrid grid_;
   ThreadMesh mesh_;
   CubeDistribution dist_;
+  BarrierKind barrier_kind_;
   std::unique_ptr<Barrier> barrier_;
   /// Owner table (cube id -> owning tid), each thread's cube list and
   /// each step's spread bins.
   SpreadBins bins_;
+  /// The cubes each owner's last spread wrote.
+  SpreadMarks marks_;
+  /// Set by worker 0 at the start of each fused step, cleared by a
+  /// settle and by construction and restore_state.
+  bool moments_stale_ = false;
+  /// Nodes kernel 7 swept inside steps, per thread (published once per
+  /// run), and in settle sweeps.
+  std::vector<Size> swept_nodes_;
+  Size settled_nodes_ = 0;
   /// (sheet index, fiber index) pairs owned per thread; distribution uses
   /// the global fiber numbering across all sheets of the structure.
   std::vector<std::vector<std::pair<Size, Index>>> owned_fibers_;

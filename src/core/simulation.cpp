@@ -204,8 +204,14 @@ perfmodel::RooflineReport Simulation::roofline_report() const {
     for (const KernelProfiler& prof : per_thread) {
       m.seconds = std::max(m.seconds, prof.seconds(phase));
     }
-    m.units = (std::string_view("node") == traffic->unit ? nodes : points) *
-              steps;
+    if (phase == Phase::kUpdateVelocity || phase == Phase::kTaskUpdateCopy) {
+      // Kernel 7's rows bill the nodes it swept: the fused cube step
+      // sweeps only the cubes kernel 4 wrote, and settles the rest on read.
+      m.units = solver_->update_velocity_nodes(phase);
+    } else {
+      m.units =
+          (std::string_view("node") == traffic->unit ? nodes : points) * steps;
+    }
     ms.push_back(std::move(m));
   }
 

@@ -39,6 +39,12 @@ void Solver::restore_state(const FluidGrid& fluid,
   steps_completed_ = step;
 }
 
+double Solver::update_velocity_nodes(Phase /*row*/) const {
+  return static_cast<double>(params_.nx) * static_cast<double>(params_.ny) *
+         static_cast<double>(params_.nz) *
+         static_cast<double>(steps_completed_);
+}
+
 void Solver::run(Index num_steps, const StepObserver& observer,
                  Index observer_interval) {
   require(observer_interval >= 1, "observer interval must be >= 1");

@@ -51,7 +51,9 @@ class Solver {
                    Index observer_interval = 1);
 
   /// Copy the current fluid state into `out` (planar layout). The planar
-  /// solvers copy their grid; the cube solver converts from cubes.
+  /// solvers copy their grid; the cube solver converts from cubes, after
+  /// settling the moments its fused step left stale, so calls on one
+  /// solver must not overlap each other or a step.
   virtual void snapshot_fluid(FluidGrid& out) const = 0;
 
   /// Direct read access to the fluid state if this solver stores it in
@@ -68,6 +70,12 @@ class Solver {
 
   /// Human-readable implementation name.
   virtual std::string name() const = 0;
+
+  /// Fluid nodes kernel 7 (update_velocity) swept under phase-table row
+  /// `row` since construction: the roofline's units for the rows that
+  /// run it. Every node every step (nx * ny * nz * steps_completed())
+  /// unless the kind counts its sweeps (CubeSolver).
+  virtual double update_velocity_nodes(Phase row) const;
 
   const SimulationParams& params() const { return params_; }
 

@@ -310,18 +310,10 @@ void cube_update_velocity(CubeGrid& grid, Size cube) {
   cube_update_velocity(grid, cube, grid.df_new_slot_base());
 }
 
-void cube_update_velocity(CubeGrid& grid, Size cube, Size df_new_base) {
-  LBMIB_INSTRUMENT(
-      const RaceField src_field = (df_new_base == grid.df_slot_base())
-                                      ? RaceField::kDf
-                                      : RaceField::kDfNew;
-      inst::cube_kernel(grid, cube, StepPhase::kUpdate, RaceField::kMacro,
-                        RaceAccess::kWrite,
-                        "cube_update_velocity: macroscopic write");
-      inst::cube_access(grid, cube, src_field, RaceAccess::kRead,
-                        "cube_update_velocity: streamed df read");
-      inst::cube_access(grid, cube, RaceField::kForce, RaceAccess::kRead,
-                        "cube_update_velocity: force read");)
+namespace {
+
+/// Kernel 7's arithmetic on one cube, with no access hook.
+void update_cube_moments(CubeGrid& grid, Size cube, Size df_new_base) {
   const Real* planes[kQ];
   for (int i = 0; i < kQ; ++i) {
     planes[i] = grid.slot(cube, df_new_base + static_cast<Size>(i));
@@ -335,6 +327,29 @@ void cube_update_velocity(CubeGrid& grid, Size cube, Size df_new_base) {
                  grid.slot(cube, CubeGrid::kUySlot),
                  grid.slot(cube, CubeGrid::kUzSlot),
                  grid.nodes_per_cube());
+}
+
+}  // namespace
+
+void cube_update_velocity(CubeGrid& grid, Size cube, Size df_new_base) {
+  LBMIB_INSTRUMENT(
+      const RaceField src_field = (df_new_base == grid.df_slot_base())
+                                      ? RaceField::kDf
+                                      : RaceField::kDfNew;
+      inst::cube_kernel(grid, cube, StepPhase::kUpdate, RaceField::kMacro,
+                        RaceAccess::kWrite,
+                        "cube_update_velocity: macroscopic write");
+      inst::cube_access(grid, cube, src_field, RaceAccess::kRead,
+                        "cube_update_velocity: streamed df read");
+      inst::cube_access(grid, cube, RaceField::kForce, RaceAccess::kRead,
+                        "cube_update_velocity: force read");)
+  update_cube_moments(grid, cube, df_new_base);
+}
+
+void cube_settle_moments(CubeGrid& grid) {
+  for (Size cube = 0; cube < grid.num_cubes(); ++cube) {
+    update_cube_moments(grid, cube, grid.df_slot_base());
+  }
 }
 
 namespace {
@@ -561,10 +576,14 @@ void cube_spread_force_unlocked(const FiberSheet& sheet, CubeGrid& grid,
 }
 
 void cube_spread_force_owned(const Structure& structure, CubeGrid& grid,
-                             const SpreadBins& bins, int owner,
-                             const Vec3& body_force) {
-  for (const Size cube : bins.owned_cubes(owner)) {
-    grid.reset_forces(cube, body_force);
+                             const SpreadBins& bins, SpreadMarks& marks,
+                             int owner, const Vec3& body_force) {
+  const std::span<const Size> cubes = bins.owned_cubes(owner);
+  const std::span<std::uint32_t> written = marks.owned(owner);
+  for (Size i = 0; i < cubes.size(); ++i) {
+    if (written[i] == 0) continue;
+    grid.reset_forces(cubes[i], body_force);
+    written[i] = 0;
   }
   const std::span<const int> cube_owner = bins.cube_owner();
   for (Size s = 0; s < structure.size(); ++s) {
@@ -576,6 +595,7 @@ void cube_spread_force_owned(const Structure& structure, CubeGrid& grid,
         spread_node(grid, sheet.position(node), [&](const ZRun& r) {
           if (cube_owner[r.cube] != owner) return;
           grid.add_force_run(r.cube, r.local, r.w, r.n, force);
+          marks.mark(r.cube);
         });
       }
     }

@@ -8,10 +8,11 @@
 // three flavours that differ only in who may write a cube: the paper's
 // owner-locked spread, where any thread adds into any cube under the
 // owner thread's lock; a single-writer spread; and the owner-computes
-// spread both cube-solver schedules run, where each owner resets its
-// own cubes to the body force, walks only the fiber nodes binned to it
-// (cube/spread_bins.hpp) and adds only into those cubes, so no thread
-// writes a foreign cube, no lock is taken and no add is atomic. All
+// spread both cube-solver schedules run, where each owner resets the
+// cubes its previous spread wrote to the body force, walks only the
+// fiber nodes binned to it (cube/spread_bins.hpp) and adds only into its
+// own cubes, marking each one it writes, so no thread writes a foreign
+// cube, no lock is taken and no add is atomic. All
 // three and kernel 8 share one support walk, which resolves cube
 // coordinates without dividing and adds each support column's z-targets
 // as one run per cube (CubeGrid::add_force_run).
@@ -64,10 +65,19 @@ void cube_collide_stream(CubeGrid& grid, Real tau, Size cube, Size src_base,
 
 /// Kernel 7 on one cube: macroscopic density/velocity from df_new + F/2,
 /// through the same lane-block update_moments as the planar kernel.
+/// Checked as an owner write of the update phase.
 void cube_update_velocity(CubeGrid& grid, Size cube);
 
 /// Explicit-parity overload: read the streamed field from `df_new_base`.
 void cube_update_velocity(CubeGrid& grid, Size cube, Size df_new_base);
+
+/// Kernel 7 on every cube from the present df (the streamed field once a
+/// fused step has swapped), by one thread between steps: the cube
+/// solver's settle on read (core/cube_solver.hpp). It writes every
+/// cube's moments as no owner does, so like to_planar it carries no
+/// access hook: a step observer may call it on a worker bound to the
+/// access checker. No other thread may run a kernel meanwhile.
+void cube_settle_moments(CubeGrid& grid);
 
 /// Inlet/outlet pass (BoundaryType::kInletOutlet) for one cube, on the
 /// streamed field at slot base `df_new_base` (the grid's
@@ -99,18 +109,21 @@ void cube_spread_force_unlocked(const FiberSheet& sheet, CubeGrid& grid,
                                 Index fiber_begin, Index fiber_end);
 
 /// Owner-computes variant, and kernel 4 of the cube solvers: set the
-/// force of every cube `owner` owns (bins.owned_cubes(owner)) to
-/// `body_force`, then spread the fiber nodes `bins` holds for `owner`,
-/// adding only the contributions that land in those cubes. Once every
+/// force of every cube `owner` owns (bins.owned_cubes(owner)) whose mark
+/// is set back to `body_force` and clear its mark, then spread the fiber
+/// nodes `bins` holds for `owner`, adding only the contributions that
+/// land in those cubes and marking each cube it adds into. Once every
 /// fiber force and bin is published, every owner may run this at the
-/// same time without locks: each cube has one writer, and each fluid
-/// node sums its contributions in the same order as
-/// cube_spread_force_unlocked over every fiber of every sheet, so the
-/// result is bit-identical to a body-force reset plus that spread
-/// whatever the thread count or ownership.
+/// same time without locks: each cube and its mark have one writer, and
+/// each fluid node sums its contributions in the same order as
+/// cube_spread_force_unlocked over every fiber of every sheet. So when
+/// every owned cube outside the marked ones holds exactly `body_force`
+/// (as the previous call leaves them), the result is bit-identical to a
+/// body-force reset plus that spread whatever the thread count or
+/// ownership, and afterwards the marks name exactly the cubes written.
 void cube_spread_force_owned(const Structure& structure, CubeGrid& grid,
-                             const SpreadBins& bins, int owner,
-                             const Vec3& body_force);
+                             const SpreadBins& bins, SpreadMarks& marks,
+                             int owner, const Vec3& body_force);
 
 /// Kernel 8 for fibers [fiber_begin, fiber_end): interpolate velocity from
 /// the cube grid and advance fiber positions (dt = 1).

@@ -115,4 +115,23 @@ Size SpreadBins::bin_size(int owner) const {
   return total;
 }
 
+SpreadMarks::SpreadMarks(const SpreadBins& bins)
+    : index_(bins.cube_owner().size()) {
+  // 16 marks fill one 64-byte line; each owner starts a fresh one.
+  constexpr Size kPerLine = 16;
+  Size total = 0;
+  for (int o = 0; o < bins.owners(); ++o) {
+    const std::span<const Size> cubes = bins.owned_cubes(o);
+    first_.push_back(total);
+    count_.push_back(cubes.size());
+    for (Size i = 0; i < cubes.size(); ++i) index_[cubes[i]] = total + i;
+    total += (cubes.size() + kPerLine - 1) / kPerLine * kPerLine;
+  }
+  marks_.reset(total);
+}
+
+void SpreadMarks::mark_all() {
+  for (const Size i : index_) marks_[i] = 1;
+}
+
 }  // namespace lbmib

@@ -16,6 +16,10 @@
 // Every bin is sized at construction for the worst case (all of its
 // block's nodes), so binning never allocates. The owner table also gives
 // each owner its cube list: the cubes it resets, spreads into and sweeps.
+//
+// SpreadMarks records which cubes an owner's spread wrote: the cubes
+// whose force is more than the body force, and the only cubes whose
+// velocity kernel 8 reads in the step.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +43,7 @@ class SpreadBins {
   SpreadBins(const Structure& structure, std::vector<int> cube_owner,
              int owners, int threads);
 
+  int owners() const { return owners_; }
   int threads() const { return threads_; }
   std::span<const int> cube_owner() const { return cube_owner_; }
 
@@ -85,6 +90,48 @@ class SpreadBins {
   /// sheet), so binning threads never share a line.
   AlignedBuffer<std::uint32_t> counts_;
   Size count_stride_;
+};
+
+/// One mark per cube, written only by the cube's owner: set by its
+/// spread (cube_spread_force_owned) on every cube the spread adds into,
+/// and cleared by its next spread when that resets the cube. Two readers
+/// use them: kernel 4's reset, since an unmarked cube holds exactly the
+/// body force, and the fused cube step's kernel 7, since kernel 8 reads
+/// only the velocity of marked cubes (core/cube_solver.hpp). Each
+/// owner's marks lie in the order of its cube list on cache lines no
+/// other owner's marks share. A mark is 32 bits, not a byte: a char
+/// store may alias any object, which would make the spread reload its
+/// operands after every mark.
+class SpreadMarks {
+ public:
+  /// Unset marks for the owners and cube lists of `bins`.
+  explicit SpreadMarks(const SpreadBins& bins);
+
+  bool marked(Size cube) const { return marks_[index_[cube]] != 0; }
+
+  /// Mark `cube`; stores only if the mark is unset, so a spread writes
+  /// each mark at most once.
+  void mark(Size cube) {
+    std::uint32_t& m = marks_[index_[cube]];
+    if (m == 0) m = 1;
+  }
+
+  /// `owner`'s marks, one per cube of SpreadBins::owned_cubes(owner) in
+  /// that order.
+  std::span<std::uint32_t> owned(int owner) {
+    return {marks_.data() + first_[static_cast<Size>(owner)],
+            count_[static_cast<Size>(owner)]};
+  }
+
+  /// Mark every cube: the next spread resets every force (after a state
+  /// restore, whose force field may hold anything).
+  void mark_all();
+
+ private:
+  std::vector<Size> index_;  // cube id -> its mark in marks_
+  std::vector<Size> first_;  // per owner: its first mark, line-aligned
+  std::vector<Size> count_;  // per owner: its cube count
+  AlignedBuffer<std::uint32_t> marks_;
 };
 
 }  // namespace lbmib

@@ -11,9 +11,11 @@
 #include <string>
 #include <string_view>
 
+#include "core/cube_solver.hpp"
 #include "core/fault_injection.hpp"
 #include "core/resilient_runner.hpp"
 #include "core/simulation.hpp"
+#include "core/verification.hpp"
 #include "core/watchdog.hpp"
 #include "parallel/cancel.hpp"
 
@@ -301,6 +303,93 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == ':' || c == '-') c = '_';
       }
       return name;
+    });
+
+// --- a cancelled cube solver runs again ---------------------------------
+
+struct CancelCase {
+  const char* name;
+  CubeSolver::Schedule schedule;
+  bool fiber_free;     ///< fiber-free runs overlap steps in one task graph
+  const char* stall;   ///< where worker 1 sticks until the cancel
+};
+
+void PrintTo(const CancelCase& c, std::ostream* os) { *os << c.name; }
+
+class CancelledCubeSolver : public ::testing::TestWithParam<CancelCase> {
+ protected:
+  void SetUp() override { chaos::reset(); }
+  void TearDown() override {
+    chaos::reset();
+    ProgressBoard::global().clear_retired();
+  }
+};
+
+// A run cancelled while worker 1 is stuck leaves the other workers part
+// way into the barrier and, in the dataflow schedule, the dependency
+// counters part-way down. Once a fresh solver's state is restored, the
+// solver must run again and match that fresh solver bit for bit.
+TEST_P(CancelledCubeSolver, RunsAgainAfterRestore) {
+  const CancelCase& c = GetParam();
+  SimulationParams p = presets::tiny();
+  p.nx = p.ny = p.nz = 32;
+  p.body_force = {1e-5, 0.0, 0.0};
+  p.num_threads = 4;
+  if (c.fiber_free) {
+    p.num_fibers = 0;
+    p.nodes_per_fiber = 0;
+  }
+  CubeSolver fresh(p, c.schedule);
+  FluidGrid initial(p.nx, p.ny, p.nz);
+  fresh.snapshot_fluid(initial);
+  const Structure initial_structure = fresh.structure();
+
+  CubeSolver solver(p, c.schedule);
+  CancelToken token;
+  CancelScope scope(&token);
+  chaos::StallSpec stall;
+  stall.point_substr = c.stall;
+  stall.tid = 1;
+  stall.duration_ms = -1;
+  chaos::arm_stall(stall);
+  WatchdogConfig config;
+  config.deadline_ms = 500;
+  {
+    Watchdog watchdog(token, config);
+    watchdog.start();
+    EXPECT_THROW(solver.run(100000), CancelledError);
+  }
+  EXPECT_EQ(chaos::stalls_fired(), 1);
+  chaos::reset();
+  token.reset();
+
+  solver.restore_state(initial, initial_structure, 0);
+  config.deadline_ms = 5000;
+  {
+    Watchdog guard(token, config);
+    guard.start();
+    try {
+      solver.run(30);
+    } catch (const CancelledError&) {
+      FAIL() << "the restored solver hung";
+    }
+  }
+  fresh.run(30);
+  const StateDiff diff = compare_solvers(fresh, solver);
+  EXPECT_EQ(diff.max_any(), 0.0) << diff.to_string();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothSchedules, CancelledCubeSolver,
+    ::testing::Values(
+        CancelCase{"static", CubeSolver::Schedule::kStatic, false,
+                   "cube:barrier:collide"},
+        CancelCase{"dataflow", CubeSolver::Schedule::kDataflow, false,
+                   "dataflow:task-loop"},
+        CancelCase{"dataflow_overlapped", CubeSolver::Schedule::kDataflow,
+                   true, "dataflow:overlapped-task"}),
+    [](const ::testing::TestParamInfo<CancelCase>& info) {
+      return std::string(info.param.name);
     });
 
 INSTANTIATE_TEST_SUITE_P(

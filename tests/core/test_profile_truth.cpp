@@ -12,9 +12,13 @@
 //     non-zero time; every kernel, task and halo span is a table row.
 //   * A span that bills other rows still keys a roofline row with its
 //     counters.
+//   * Kernel 7's rows bill the nodes it swept: the fused cube step sweeps
+//     only the cubes kernel 4 wrote and settles the rest when the fluid
+//     is read; the reference pipeline sweeps every node every step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -23,6 +27,7 @@
 
 #include "core/simulation.hpp"
 #include "core/solver.hpp"
+#include "lbm/fluid_grid.hpp"
 #include "obs/perf_counters.hpp"
 #include "obs/trace.hpp"
 
@@ -200,6 +205,85 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Golden>& info) {
       return std::string(solver_kind_name(info.param.kind)) +
              (info.param.fused ? "_fused" : "_reference");
+    });
+
+// --- kernel 7's swept nodes ---------------------------------------------
+
+double nodes_of(const SimulationParams& p) {
+  return static_cast<double>(p.nx) * static_cast<double>(p.ny) *
+         static_cast<double>(p.nz);
+}
+
+double swept_nodes(const Solver& s) {
+  return s.update_velocity_nodes(Phase::kUpdateVelocity) +
+         s.update_velocity_nodes(Phase::kTaskUpdateCopy);
+}
+
+class Kernel7Sweeps : public ::testing::TestWithParam<SolverKind> {};
+
+TEST_P(Kernel7Sweeps, FusedFiberFreeRunSweepsOnlyWhenTheFluidIsRead) {
+  SimulationParams p = truth_params(GetParam(), true);
+  p.num_fibers = 0;
+  p.nodes_per_fiber = 0;
+  std::unique_ptr<Solver> solver = make_solver(GetParam(), p);
+  // An observer that only stamps the time reads no fluid.
+  std::vector<std::chrono::steady_clock::time_point> stamps;
+  solver->run(6, [&stamps](Solver&, Index) {
+    stamps.push_back(std::chrono::steady_clock::now());
+  });
+  ASSERT_EQ(stamps.size(), 6u);
+  EXPECT_EQ(swept_nodes(*solver), 0.0);
+
+  FluidGrid snap(p.nx, p.ny, p.nz);
+  solver->snapshot_fluid(snap);
+  EXPECT_EQ(swept_nodes(*solver), nodes_of(p));
+  // The settle bills kernel 7's own row in either schedule.
+  EXPECT_EQ(solver->update_velocity_nodes(Phase::kUpdateVelocity),
+            nodes_of(p));
+  EXPECT_GT(solver->profiler().seconds(Phase::kUpdateVelocity), 0.0);
+  solver->snapshot_fluid(snap);
+  EXPECT_EQ(swept_nodes(*solver), nodes_of(p));
+}
+
+TEST_P(Kernel7Sweeps, ReferencePipelineSweepsEveryNodeEveryStep) {
+  const SimulationParams p = truth_params(GetParam(), false);
+  std::unique_ptr<Solver> solver = make_solver(GetParam(), p);
+  solver->run(5);
+  FluidGrid snap(p.nx, p.ny, p.nz);
+  solver->snapshot_fluid(snap);
+  EXPECT_EQ(swept_nodes(*solver), nodes_of(p) * 5);
+}
+
+TEST_P(Kernel7Sweeps, RooflineBillsTheSweptNodes) {
+  const SimulationParams p = truth_params(GetParam(), true);
+  Simulation sim(GetParam(), p);
+  sim.run(4);
+  // The sheet's spread writes part of the grid each step.
+  EXPECT_GT(swept_nodes(sim.solver()), 0.0);
+  EXPECT_LT(swept_nodes(sim.solver()), nodes_of(p) * 4);
+  FluidGrid snap(p.nx, p.ny, p.nz);
+  sim.solver().snapshot_fluid(snap);
+  const perfmodel::RooflineReport report = sim.roofline_report();
+  int rows = 0;
+  for (const Phase phase : {Phase::kUpdateVelocity, Phase::kTaskUpdateCopy}) {
+    const auto row = std::find_if(
+        report.rows.begin(), report.rows.end(),
+        [phase](const perfmodel::RooflineRow& r) {
+          return r.kernel == phase_name(phase);
+        });
+    if (row == report.rows.end()) continue;
+    ++rows;
+    EXPECT_EQ(row->units, sim.solver().update_velocity_nodes(phase))
+        << phase_name(phase);
+  }
+  EXPECT_GE(rows, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CubeKinds, Kernel7Sweeps,
+    ::testing::Values(SolverKind::kCube, SolverKind::kDataflow),
+    [](const ::testing::TestParamInfo<SolverKind>& info) {
+      return std::string(solver_kind_name(info.param));
     });
 
 #if LBMIB_TRACE_ENABLED

@@ -162,6 +162,25 @@ TEST(CubeSolverConcurrencyObserver, ObserverBarrierPathIsRaceFree) {
   EXPECT_EQ(calls.load(), static_cast<int>(kSteps));
 }
 
+TEST(CubeSolverConcurrencyObserver, ObserverSnapshotSettlesRaceFree) {
+  // An observer that reads the fluid settles every cube's moments on tid
+  // 0 while the team waits at the observer barrier, and the next step's
+  // workers then rewrite the moments of the cubes their spread wrote.
+  // The state matches a run whose observer reads nothing, bit for bit.
+  for (const CubeSolver::Schedule schedule :
+       {CubeSolver::Schedule::kStatic, CubeSolver::Schedule::kDataflow}) {
+    SimulationParams p = stress_params();
+    p.num_threads = 4;
+    CubeSolver idle(p, schedule);
+    CubeSolver reading(p, schedule);
+    idle.run(kSteps, [](Solver&, Index) {});
+    FluidGrid snap(p.nx, p.ny, p.nz);
+    reading.run(kSteps,
+                [&snap](Solver& s, Index) { s.snapshot_fluid(snap); });
+    EXPECT_EQ(compare_solvers(idle, reading).max_any(), 0.0);
+  }
+}
+
 class DataflowConcurrency : public ::testing::TestWithParam<int> {};
 
 TEST_P(DataflowConcurrency, DynamicSchedulingMatchesSequential) {

@@ -143,8 +143,8 @@ void expect_same_force_bits(const CubeGrid& got, const CubeGrid& want) {
 /// for every mesh, policy and cube size (cube_size 1 puts 4 distinct cubes
 /// on each axis of a node's support, 2 up to 3). The 24 x 16 x 8 grid at
 /// cube size 8 has one cube along z, which a support that wraps z reaches
-/// from both ends. The owners' grid starts from a stale force field, which
-/// their resets must overwrite in every cube.
+/// from both ends. The owners' grid starts from a stale force field with
+/// every cube marked, so their resets must overwrite every cube.
 void expect_owned_matches_unlocked(const Structure& structure) {
   struct Shape {
     Index nx, ny, nz, k;
@@ -175,9 +175,12 @@ void expect_owned_matches_unlocked(const Structure& structure) {
                                     got.cubes_z(), balanced_mesh(owners),
                                     policy);
         SpreadBins bins(structure, dist.owner_table(), owners, owners);
+        SpreadMarks marks(bins);
+        marks.mark_all();
         for (int t = 0; t < owners; ++t) bins.bin(structure, got, t);
         for (int owner = 0; owner < owners; ++owner) {
-          cube_spread_force_owned(structure, got, bins, owner, body_force);
+          cube_spread_force_owned(structure, got, bins, marks, owner,
+                                  body_force);
         }
         expect_same_force_bits(got, want);
       }
@@ -190,6 +193,75 @@ TEST(CubeSpread, OwnedPerThreadMatchesUnlockedBitForBit) {
   // Two overlapping sheets: every owner must spread sheet 0's bins
   // before sheet 1's, whichever thread binned them.
   expect_owned_matches_unlocked({perturbed_sheet(6), perturbed_sheet(9)});
+}
+
+/// Whether any node of `cube` holds a force other than `f`, bit for bit.
+bool force_differs(const CubeGrid& grid, Size cube, const Vec3& f) {
+  for (Size local = 0; local < grid.nodes_per_cube(); ++local) {
+    const Vec3 g = grid.force(cube, local);
+    if (std::bit_cast<std::uint64_t>(g.x) != std::bit_cast<std::uint64_t>(f.x) ||
+        std::bit_cast<std::uint64_t>(g.y) != std::bit_cast<std::uint64_t>(f.y) ||
+        std::bit_cast<std::uint64_t>(g.z) != std::bit_cast<std::uint64_t>(f.z)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(CubeSpread, OwnedResetsOnlyTheMarkedCubes) {
+  // Kernel 4 over steps: each owner resets only the cubes its previous
+  // spread marked, since every other cube already holds exactly the
+  // body force. At cube size 2 a support spans up to three cubes per
+  // axis. Over three spreads, the sheet moved between them, the field
+  // equals a body-force reset plus the single-writer spread bit for bit,
+  // the marks name exactly the cubes whose force is more than the body
+  // force, and an unmarked cube no support reaches keeps what it held.
+  const Vec3 body_force{1e-5, -2e-6, 3e-6};
+  const Vec3 sentinel{7.0, -7.0, 7.0};
+  Structure structure{perturbed_sheet(6)};
+  CubeGrid got(24, 24, 24, 2);
+  got.reset_forces(body_force);
+  const Size far_cube = got.cube_id(11, 11, 11);  // nodes 22-23 per axis
+  got.reset_forces(far_cube, sentinel);
+  constexpr int kOwners = 4;
+  const CubeDistribution dist(got.cubes_x(), got.cubes_y(), got.cubes_z(),
+                              balanced_mesh(kOwners),
+                              DistributionPolicy::kBlock);
+  SpreadBins bins(structure, dist.owner_table(), kOwners, kOwners);
+  SpreadMarks marks(bins);
+  for (int step = 0; step < 3; ++step) {
+    SCOPED_TRACE("spread " + std::to_string(step));
+    if (step > 0) {
+      FiberSheet& sheet = structure.front();
+      for (Size i = 0; i < sheet.num_nodes(); ++i) {
+        sheet.position(i) += Vec3{1.3, -0.7, 0.4};
+      }
+      compute_all_fiber_forces(sheet);
+    }
+    CubeGrid want(24, 24, 24, 2);
+    want.reset_forces(body_force);
+    want.reset_forces(far_cube, sentinel);
+    cube_spread_force_unlocked(structure.front(), want, 0,
+                               structure.front().num_fibers());
+    for (int t = 0; t < kOwners; ++t) bins.bin(structure, got, t);
+    for (int owner = 0; owner < kOwners; ++owner) {
+      cube_spread_force_owned(structure, got, bins, marks, owner,
+                              body_force);
+    }
+    expect_same_force_bits(got, want);
+    Size marked = 0;
+    for (Size cube = 0; cube < got.num_cubes(); ++cube) {
+      if (cube == far_cube) {
+        EXPECT_FALSE(marks.marked(cube));
+        continue;
+      }
+      EXPECT_EQ(marks.marked(cube), force_differs(got, cube, body_force))
+          << "cube " << cube;
+      marked += marks.marked(cube) ? 1 : 0;
+    }
+    EXPECT_GT(marked, 0u);
+    EXPECT_LT(marked, got.num_cubes() / 4);
+  }
 }
 
 /// A sheet whose origin sits near the top corner of a 24^3 grid: it runs

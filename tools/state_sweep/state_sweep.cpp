@@ -16,11 +16,14 @@
 // FMA contraction differs between -march=native, the -mavx2 -mfma
 // fallback and the sanitizer builds.
 //
-// --cross checks, within this build, the kind pairs that step
-// bit-identically on every cell: OpenMP = sequential and dataflow = cube
-// at equal thread counts, and cube = sequential on the reference and
-// scalar fused pipelines. It prints each pair that differs and exits 1 if
-// any does.
+// --cross checks, within this build, the pairs of cells that must hold
+// bit-identical states: OpenMP = sequential and dataflow = cube at equal
+// thread counts, cube = sequential on the reference and scalar fused
+// pipelines (a cube-kinds-only row against the sequential cell of the
+// same input at the default cube size), and, for every kind, the
+// `reading` schedule = the `run` schedule, since reading the fluid
+// between steps must not change the state. It prints each pair that
+// differs and exits 1 if any does.
 //
 // Usage: state_sweep [--preset default|quick] [--cross]
 //   --preset  default: the full matrix; quick: one schedule and thread
@@ -95,15 +98,28 @@ StateHash hash_state(const Solver& solver) {
   return {df.value(), rho.value(), u.value(), x.value(), f.value()};
 }
 
-/// A schedule of run()/step() calls. Its observer does nothing, so it
-/// exercises each kind's observer path without touching the state.
+/// A schedule of run()/step() calls. Its observer does nothing, which
+/// exercises each kind's observer path without touching the state, or
+/// reads the fluid, which must not change the state either.
 using Schedule = std::function<void(Solver&)>;
 
 void idle_observer(Solver&, Index) {}
 
+void reading_observer(Solver& s, Index) {
+  const SimulationParams& p = s.params();
+  lbmib::FluidGrid g(p.nx, p.ny, p.nz);
+  s.snapshot_fluid(g);
+}
+
 void run_then_observed(Solver& s) {
   s.run(3);
   s.run(4, idle_observer, 2);
+}
+
+/// run_then_observed's calls with an observer that reads the fluid.
+void run_then_read(Solver& s) {
+  s.run(3);
+  s.run(4, reading_observer, 2);
 }
 
 void interleaved(Solver& s) {
@@ -123,6 +139,10 @@ std::string cell_id(const std::string& group, SolverKind kind,
 
 struct Cell {
   std::string group;  ///< id without the kind and thread count
+  /// The group of the same input and schedule at the default cube size,
+  /// which holds the sequential cell (equal to `group` but for
+  /// cube-kinds-only rows).
+  std::string base_group;
   SolverKind kind;
   int threads;
   SimulationParams params;
@@ -192,22 +212,27 @@ constexpr Pipeline kPipelines[] = {
 std::vector<Cell> build_matrix(bool quick) {
   std::vector<Cell> cells;
   const std::vector<KindThreads> kinds = kinds_for(quick);
+  // `base_group` is empty unless only the cube kinds run the group.
   auto add = [&](const std::string& group, SimulationParams p,
-                 const Schedule& schedule, bool cube_kinds_only) {
+                 const Schedule& schedule,
+                 const std::string& base_group = "") {
     for (const KindThreads& k : kinds) {
       const bool cube_kind =
           k.kind == SolverKind::kCube || k.kind == SolverKind::kDataflow;
-      if (cube_kinds_only && !cube_kind) continue;
+      if (!base_group.empty() && !cube_kind) continue;
       for (int t : k.threads) {
         p.num_threads = t;
         p.validate();
-        cells.push_back({group, k.kind, t, p, schedule});
+        cells.push_back({group, base_group.empty() ? group : base_group,
+                         k.kind, t, p, schedule});
       }
     }
   };
   std::vector<std::pair<std::string, Schedule>> schedules = {
-      {"run", run_then_observed}, {"interleaved", interleaved}};
-  if (quick) schedules.erase(schedules.begin());
+      {"run", run_then_observed},
+      {"interleaved", interleaved},
+      {"reading", run_then_read}};
+  if (quick) schedules = {{"interleaved", interleaved}};
   for (const Pipeline& pipe : kPipelines) {
     for (const char* collision : {"bgk", "mrt"}) {
       auto configure = [&](SimulationParams p) {
@@ -230,41 +255,64 @@ std::vector<Cell> build_matrix(bool quick) {
             p.nodes_per_fiber = 0;
           }
           for (const auto& [name, schedule] : schedules) {
-            add(std::string(fibers ? "sheet/" : "free/") + boundary + suffix +
-                    "/" + name,
-                p, schedule, false);
+            const std::string group = std::string(fibers ? "sheet/" : "free/") +
+                                      boundary + suffix + "/" + name;
+            add(group, p, schedule);
+            // At cube size 2 a support spans up to three cubes per axis,
+            // which exercises the spread's cube marks; the sequential
+            // cell of `group` is the oracle.
+            if (fibers && !quick) {
+              SimulationParams k2 = p;
+              k2.cube_size = 2;
+              add("sheet-k2/" + std::string(boundary) + suffix + "/" + name,
+                  k2, schedule, group);
+            }
           }
         }
       }
       // The pinned channel at every cube size; the cube size reaches only
       // the cube-layout kinds, so the others run it once.
+      const std::string pinned = "/channel" + suffix + "/run";
       for (const Index k : {Index{2}, Index{4}, Index{8}}) {
         if (quick && k != 4) continue;
         SimulationParams p = configure(pinned_channel_input());
         p.cube_size = k;
-        add("pinned-k" + std::to_string(k) + "/channel" + suffix + "/run", p,
-            run_then_observed, k != 4);
+        add("pinned-k" + std::to_string(k) + pinned, p, run_then_observed,
+            k == 4 ? "" : "pinned-k4" + pinned);
       }
     }
   }
   return cells;
 }
 
-/// The id of the cell `cell` must equal bit for bit, or "" when none:
-/// OpenMP = sequential, dataflow = cube at its thread count, and cube =
-/// sequential off the SIMD leg.
-std::string exact_partner(const Cell& cell) {
+/// The ids of the cells `cell` must equal bit for bit: OpenMP =
+/// sequential, dataflow = cube at its thread count, cube = sequential off
+/// the SIMD leg, and a `reading` cell = its `run` cell.
+std::vector<std::string> exact_partners(const Cell& cell) {
+  std::vector<std::string> ids;
   const bool simd = cell.params.fused_step && cell.params.simd_step;
   switch (cell.kind) {
     case SolverKind::kOpenMP:
-      return cell_id(cell.group, SolverKind::kSequential, 1);
+      ids.push_back(cell_id(cell.group, SolverKind::kSequential, 1));
+      break;
     case SolverKind::kDataflow:
-      return cell_id(cell.group, SolverKind::kCube, cell.threads);
+      ids.push_back(cell_id(cell.group, SolverKind::kCube, cell.threads));
+      break;
     case SolverKind::kCube:
-      return simd ? "" : cell_id(cell.group, SolverKind::kSequential, 1);
+      if (!simd) {
+        ids.push_back(cell_id(cell.base_group, SolverKind::kSequential, 1));
+      }
+      break;
     default:
-      return "";
+      break;
   }
+  const std::string reading = "/reading";
+  if (cell.group.ends_with(reading)) {
+    ids.push_back(cell_id(
+        cell.group.substr(0, cell.group.size() - reading.size()) + "/run",
+        cell.kind, cell.threads));
+  }
+  return ids;
 }
 
 int usage(const char* why) {
@@ -315,22 +363,24 @@ int main(int argc, char** argv) {
 
   Size pairs = 0, differing = 0;
   for (const Cell& c : cells) {
-    const auto it = hashes.find(exact_partner(c));
-    if (it == hashes.end()) continue;
-    ++pairs;
-    const StateHash& a = hashes.at(c.id());
-    const StateHash& b = it->second;
-    if (a == b) continue;
-    ++differing;
-    const std::uint64_t ca[] = {a.df, a.rho, a.u, a.x, a.f};
-    const std::uint64_t cb[] = {b.df, b.rho, b.u, b.x, b.f};
-    std::string cols;
-    for (int k = 0; k < 5; ++k) {
-      if (ca[k] == cb[k]) continue;
-      cols += std::string(cols.empty() ? "" : ",") + kColumns[k];
+    for (const std::string& partner : exact_partners(c)) {
+      const auto it = hashes.find(partner);
+      if (it == hashes.end()) continue;
+      ++pairs;
+      const StateHash& a = hashes.at(c.id());
+      const StateHash& b = it->second;
+      if (a == b) continue;
+      ++differing;
+      const std::uint64_t ca[] = {a.df, a.rho, a.u, a.x, a.f};
+      const std::uint64_t cb[] = {b.df, b.rho, b.u, b.x, b.f};
+      std::string cols;
+      for (int k = 0; k < 5; ++k) {
+        if (ca[k] == cb[k]) continue;
+        cols += std::string(cols.empty() ? "" : ",") + kColumns[k];
+      }
+      std::printf("differs %s vs %s: %s\n", c.id().c_str(),
+                  it->first.c_str(), cols.c_str());
     }
-    std::printf("differs %s vs %s: %s\n", c.id().c_str(), it->first.c_str(),
-                cols.c_str());
   }
   std::printf("cross: %zu exact pairs, %zu differ\n", pairs, differing);
   return differing == 0 ? 0 : 1;
